@@ -55,12 +55,6 @@ let tests =
       (Staged.stage (fun () ->
            Template.compute ~steps:150 di ~x0:Sir.x0 ~horizon:2.
              ~directions:(Template.directions_2d 16)));
-    Test.make ~name:"kolm:interval-dtmc-1000-steps"
-      (Staged.stage
-         (let m = Bikesharing.ictmc Bikesharing.default_params ~capacity:20 in
-          let dtmc = Interval_dtmc.of_imprecise_ctmc m ~dt:0.005 in
-          let h = Bikesharing.occupancy_reward ~capacity:20 in
-          fun () -> Interval_dtmc.lower_expectation dtmc ~h ~steps:1000));
     Test.make ~name:"certified:interval-hull-cholera-T3"
       (Staged.stage
          (let s = Cholera.make Cholera.default_params in

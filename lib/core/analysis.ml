@@ -13,7 +13,6 @@ module Rng = Umf_numerics.Rng
 module Model = Umf_meanfield.Model
 module Ssa = Umf_meanfield.Ssa
 module Ctmc_of_population = Umf_meanfield.Ctmc_of_population
-module Engine = Umf_meanfield.Engine
 module Imprecise = Umf_ctmc.Imprecise_ctmc
 module Runtime = Umf_runtime.Runtime
 module Obs = Umf_obs.Obs
@@ -280,42 +279,6 @@ let inclusion_fraction ?tol s region states =
     inside;
     fraction = float_of_int inside /. float_of_int total;
     strict = float_of_int strict_inside /. float_of_int total;
-    metrics;
-  }
-
-type finite_n = {
-  n : int;
-  states : int;
-  times : float array;
-  mean : float array;
-  lower : float array;
-  upper : float array;
-  metrics : metrics;
-}
-
-(* deprecated wrapper: the whole pipeline now lives behind
-   Ctmc.Engine.envelope (the Lattice reward reproduces the historical
-   reward-closure semantics, whose range was never declared) *)
-let finite_n_transient ?times ?epsilon s ~n ~reward =
-  let scenario =
-    match s.scenario with
-    | Imprecise -> Engine.Imprecise
-    | Uncertain g -> Engine.Uncertain g
-  in
-  let env, metrics =
-    instrumented s "analysis.finite_n_transient" (fun obs ->
-        Engine.envelope
-          (Engine.spec ~scenario ?theta:s.theta ~horizon:s.horizon ?times
-             ?epsilon ~steps:s.steps ?pool:s.pool ~obs ~n s.model)
-          ~reward:(Engine.Lattice reward))
-  in
-  {
-    n;
-    states = env.Engine.states;
-    times = env.times;
-    mean = env.mean;
-    lower = env.lower;
-    upper = env.upper;
     metrics;
   }
 

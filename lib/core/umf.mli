@@ -41,28 +41,9 @@ module Tape_check = Umf_numerics.Tape_check
 
 (* Markov chain substrate *)
 module Generator = Umf_ctmc.Generator
-
-module Ctmc_sparse = Umf_ctmc.Sparse
-[@@deprecated
-  "use Ctmc.Engine (spec front door) or Ctmc.Sparse (kernel); removed two \
-   releases after 0.8"]
-
 module Ctmc_path = Umf_ctmc.Path
 module Ctmc_simulate = Umf_ctmc.Simulate
-
-module Transient = Umf_ctmc.Transient
-[@@deprecated
-  "use Ctmc.Engine.transient/distribution (spec front door) or \
-   Ctmc.Transient (kernel); removed two releases after 0.8"]
-
 module Stationary = Umf_ctmc.Stationary
-
-module Imprecise_ctmc = Umf_ctmc.Imprecise_ctmc
-[@@deprecated
-  "use Ctmc.Engine.envelope (spec front door) or Ctmc.Imprecise (kernel); \
-   removed two releases after 0.8"]
-
-module Interval_dtmc = Umf_ctmc.Interval_dtmc
 
 (* population models and their simulation *)
 module Population = Umf_meanfield.Population

@@ -71,24 +71,6 @@ let to_dense g =
   done;
   m
 
-let uniformized ?rate g =
-  let lambda =
-    match rate with
-    | Some r ->
-        if r < max_exit_rate g then
-          invalid_arg "Generator.uniformized: rate below max exit rate";
-        r
-    | None -> Float.max 1e-9 (1.01 *. max_exit_rate g)
-  in
-  let p = Mat.identity g.n in
-  for i = 0 to g.n - 1 do
-    Mat.set p i i (1. -. (g.exit.(i) /. lambda));
-    Array.iter
-      (fun (j, r) -> Mat.set p i j (Mat.get p i j +. (r /. lambda)))
-      g.rows.(i)
-  done;
-  p
-
 let apply g v =
   if Vec.dim v <> g.n then invalid_arg "Generator.apply: dimension mismatch";
   Array.init g.n (fun i ->

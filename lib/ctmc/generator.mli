@@ -36,13 +36,6 @@ val max_exit_rate : t -> float
 val to_dense : t -> Umf_numerics.Mat.t
 (** The full [n x n] generator matrix [Q] (row sums are zero). *)
 
-val uniformized : ?rate:float -> t -> Umf_numerics.Mat.t
-(** The DTMC transition matrix [P = I + Q/Λ] of the uniformised chain;
-    [Λ] defaults to [1.01 * max_exit_rate] (strictly positive even for
-    an absorbing chain).
-    @raise Invalid_argument if [rate] is not an upper bound on the exit
-    rates. *)
-
 val apply : t -> Umf_numerics.Vec.t -> Umf_numerics.Vec.t
 (** [apply q g] is the vector [Q g] (backward operator: expectations),
     computed sparsely. *)

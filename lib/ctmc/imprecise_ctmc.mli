@@ -81,9 +81,7 @@ val fixed_series :
     envelope [min h, max h] (values are clamped there against float
     rounding) and the a-priori [eps] bound Σ δ²λ²·osc(g) is sound.
 
-    [values] is bit-identical to what the deprecated
-    [lower_series]/[upper_series] returned on the same grid.  [pool]
-    fans each Euler step out over index-owned state chunks,
+    [pool] fans each Euler step out over index-owned state chunks,
     bit-identically to the sequential sweep for any domain count; [obs]
     records a ["ctmc.imprecise_sweep"] span per integrated segment
     (steps, rows touched). *)
@@ -114,65 +112,6 @@ val absorbing : t -> target:(int -> bool) -> t
     indicator of the target set as reward, the backward sweep on the
     absorbed chain bounds hitting probabilities
     P(τ_target <= horizon | X_0 = x). *)
-
-val lower_expectation :
-  ?pool:Umf_runtime.Runtime.Pool.t ->
-  ?obs:Umf_obs.Obs.t ->
-  ?steps_per_unit:int ->
-  t ->
-  h:Vec.t ->
-  horizon:float ->
-  Vec.t
-  [@@deprecated "use fixed_series ~sense:`Lower (certified sweep)"]
-(** [lower_expectation m ~h ~horizon] is the vector of lower
-    expectations x ↦ E̲[h(X_horizon) | X_0 = x] — the singleton-time
-    [values] of {!fixed_series}, without the error ledger. *)
-
-val upper_expectation :
-  ?pool:Umf_runtime.Runtime.Pool.t ->
-  ?obs:Umf_obs.Obs.t ->
-  ?steps_per_unit:int ->
-  t ->
-  h:Vec.t ->
-  horizon:float ->
-  Vec.t
-  [@@deprecated "use fixed_series ~sense:`Upper (certified sweep)"]
-
-val lower_series :
-  ?pool:Umf_runtime.Runtime.Pool.t ->
-  ?obs:Umf_obs.Obs.t ->
-  ?steps_per_unit:int ->
-  t ->
-  h:Vec.t ->
-  times:float array ->
-  Vec.t array
-  [@@deprecated "use fixed_series ~sense:`Lower (certified sweep)"]
-(** The [values] of {!fixed_series} with [~sense:`Lower] —
-    bit-identical, minus the error ledger. *)
-
-val upper_series :
-  ?pool:Umf_runtime.Runtime.Pool.t ->
-  ?obs:Umf_obs.Obs.t ->
-  ?steps_per_unit:int ->
-  t ->
-  h:Vec.t ->
-  times:float array ->
-  Vec.t array
-  [@@deprecated "use fixed_series ~sense:`Upper (certified sweep)"]
-
-val probability_bounds :
-  ?pool:Umf_runtime.Runtime.Pool.t ->
-  ?obs:Umf_obs.Obs.t ->
-  ?steps_per_unit:int ->
-  t ->
-  state:int ->
-  horizon:float ->
-  x0:int ->
-  float * float
-  [@@deprecated
-    "use fixed_series/adaptive_series on an indicator reward (certified \
-     sweep)"]
-(** Lower and upper bounds on P(X_horizon = state | X_0 = x0). *)
 
 type policy = t:float -> x:int -> Vec.t
 (** An adapted parameter policy: observes time and current state,

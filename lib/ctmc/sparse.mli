@@ -1,19 +1,20 @@
 (** Sparse uniformised-step kernels.
 
-    The dense path ([Generator.uniformized] + [Mat.tmulv]) materialises
-    the n x n DTMC matrix P = I + Q/Λ, which caps the finite-N engine
-    at a few thousand states.  This module compiles a generator's
+    A dense uniformised step materialises the n x n DTMC matrix
+    P = I + Q/Λ, which caps a finite-N engine at a few thousand
+    states.  This module compiles a generator's
     adjacency into a cache-blocked CSR-by-destination operator and
     applies the forward uniformised step p' = Pᵀ p in O(nnz),
     allocation-free and optionally fanned out over a
     {!Umf_runtime.Runtime.Pool}.
 
     Bit-compatibility contract: for every vector [v] of finite floats,
-    [step_into op v ~into] writes exactly the same bits as
-    [Mat.tmulv (Generator.uniformized ~rate g) v] — per destination the
-    incoming terms are accumulated in ascending source order with the
-    diagonal term inserted at its dense position, and each edge weight
-    is the same [rate /. Λ] float the dense constructor stores.  The
+    [step_into op v ~into] writes exactly the same bits as the dense
+    product [Pᵀ v] with P built entry by entry as [1 - exit_i /. Λ] on
+    the diagonal and [rate /. Λ] off it (the reference the tests check
+    against) — per destination the incoming terms are accumulated in
+    ascending source order with the diagonal term inserted at its
+    dense position.  The
     destination range is partitioned into cache-sized blocks at
     assembly time; writes are index-owned and the scalar escaped-mass
     reduction combines per-block partials in fixed block order, so the
@@ -34,8 +35,8 @@ type t
 
 val forward : ?rate:float -> ?leak:float array -> Generator.t -> t
 (** [forward g] compiles P = I + Q/Λ in transposed (by-destination)
-    layout; [rate] defaults to [1.01 * max_i (exit_i + leak_i)] —
-    exactly {!Generator.uniformized}'s default when [leak] is absent.
+    layout; [rate] defaults to [1.01 * max_i (exit_i + leak_i)] (at
+    least 1e-9, so an absorbing chain still has a positive rate).
     [leak.(i)] is an extra exit rate from state [i] to outside the
     retained space; it deepens the diagonal deficit and is reported per
     step by {!step_into}.

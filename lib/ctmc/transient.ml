@@ -168,14 +168,6 @@ let uniformization_certified ?pool ?obs ?(epsilon = 1e-12) ?max_terms ?leak g
     ~p0 ~t =
   uni_sweep ?pool ?obs ~epsilon ?max_terms ~strict:false ?leak g ~p0 ~t
 
-let kolmogorov_ode ?(dt = 1e-3) g ~p0 ~t =
-  check_distribution g p0;
-  if t < 0. then invalid_arg "Transient.kolmogorov_ode: t < 0";
-  if t = 0. then Vec.copy p0
-  else
-    Ode.integrate_to (fun _t p -> Generator.apply_forward g p) ~t0:0. ~y0:p0
-      ~t1:t ~dt
-
 let expectation ?pool ?obs ?epsilon ?max_terms g ~p0 ~t h =
   let p = uniformization ?pool ?obs ?epsilon ?max_terms g ~p0 ~t in
   let acc = ref 0. in

@@ -79,16 +79,6 @@ val uniformization_certified :
     vector is bit-identical to {!uniformization} and the certificate's
     [escaped] is exactly [0.]. *)
 
-val kolmogorov_ode :
-  ?dt:float ->
-  Generator.t ->
-  p0:Umf_numerics.Vec.t ->
-  t:float ->
-  Umf_numerics.Vec.t
-(** Same quantity by RK4 integration of the forward Kolmogorov
-    equations ṗ = Qᵀp — the reference implementation used to
-    cross-check uniformisation. *)
-
 val expectation :
   ?pool:Umf_runtime.Runtime.Pool.t ->
   ?obs:Umf_obs.Obs.t ->

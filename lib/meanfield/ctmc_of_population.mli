@@ -141,7 +141,7 @@ val truncated_generator :
 
 val imprecise : ?theta:Optim.Box.t -> space -> Population.t -> Umf_ctmc.Imprecise_ctmc.t
 (** The finite-N chain as an imprecise CTMC over the θ-box, for
-    {!Umf_ctmc.Imprecise_ctmc.lower_series}/[upper_series] backward
+    {!Umf_ctmc.Imprecise_ctmc.fixed_series}/[adaptive_series] backward
     sweeps.  Each enumerated support edge carries the rate closure
     θ ↦ N·β(X/N, θ).
 

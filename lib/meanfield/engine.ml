@@ -14,7 +14,6 @@ type scenario = Imprecise | Uncertain of int
 type reward =
   | Coord of int
   | Custom of { f : Vec.t -> float; range : float * float }
-  | Lattice of (Vec.t -> float)
 
 type spec = {
   model : Model.t;
@@ -24,7 +23,6 @@ type spec = {
   horizon : float;
   times : float array option;
   epsilon : float;
-  steps : int;
   sweep_eps : float option;
   truncation : truncation;
   pool : Pool.t option;
@@ -32,14 +30,13 @@ type spec = {
 }
 
 let spec ?(scenario = Imprecise) ?theta ?(horizon = 10.) ?times
-    ?(epsilon = 1e-12) ?(steps = 400) ?sweep_eps
+    ?(epsilon = 1e-12) ?sweep_eps
     ?(truncation = Exact { max_states = 2_000_000 }) ?pool ?(obs = Obs.off) ~n
     model =
   if n < 1 then invalid_arg "Engine.spec: need n >= 1";
   if horizon <= 0. then invalid_arg "Engine.spec: need horizon > 0";
   if not (epsilon > 0. && epsilon < 1.) then
     invalid_arg "Engine.spec: epsilon must be in (0, 1)";
-  if steps < 1 then invalid_arg "Engine.spec: need steps >= 1";
   (match sweep_eps with
   | Some e when not (e > 0.) ->
       invalid_arg "Engine.spec: sweep_eps must be > 0"
@@ -71,14 +68,11 @@ let spec ?(scenario = Imprecise) ?theta ?(horizon = 10.) ?times
     horizon;
     times;
     epsilon;
-    steps;
     sweep_eps;
     truncation;
     pool;
     obs;
   }
-
-type certificate = Transient.certificate = { escaped : float; tail : float }
 
 let theta_box s = match s.theta with Some b -> b | None -> Model.theta s.model
 
@@ -108,9 +102,7 @@ let theta_point ?theta s =
 
 (* Tabulate a reward over the retained lattice and resolve its range
    over the model's declared domain (the clip box) — the [rlo, rhi]
-   pair the certificates are priced against.  [Lattice] infers the
-   range from the enumerated lattice itself, which is only the full
-   range under [Exact] truncation. *)
+   pair the certificates are priced against. *)
 let resolve_reward s sp = function
   | Coord i ->
       if i < 0 || i >= Model.dim s.model then
@@ -120,16 +112,6 @@ let resolve_reward s sp = function
   | Custom { f; range = rlo, rhi } ->
       if not (rlo <= rhi) then invalid_arg "Engine: empty reward range";
       (Ctmc_of_population.reward sp f, rlo, rhi)
-  | Lattice f ->
-      (match s.truncation with
-      | Adaptive _ ->
-          invalid_arg
-            "Engine: Lattice rewards need Exact truncation (their range is \
-             inferred from the enumerated lattice, which a truncated space \
-             does not cover); use Custom with an explicit range"
-      | Exact _ -> ());
-      let h = Ctmc_of_population.reward sp f in
-      (h, Vec.min_elt h, Vec.max_elt h)
 
 (* The forward operator of a spec: the exact generator on a fully
    enumerated space, the substochastic pair on a truncated one. *)
@@ -145,13 +127,19 @@ let generator_of s sp ~theta =
   else
     (Ctmc_of_population.generator ?pool:s.pool ~obs:s.obs sp pop ~theta, None)
 
+let lost (c : Transient.certificate) = c.escaped +. c.tail
+
+(* Expectations plus the per-time probability mass they do not carry
+   (escaped + Poisson tail), the quantity every certificate below
+   prices on its truncation line. *)
 let certified_series s sp ~theta ~times hs =
   let g, leak = generator_of s sp ~theta in
   let p0 = Ctmc_of_population.point_mass sp in
-  Transient.expectation_series_certified ?pool:s.pool ~obs:s.obs
-    ~epsilon:s.epsilon ?leak g ~p0 ~times hs
-
-let lost (c : certificate) = c.escaped +. c.tail
+  let value, certificates =
+    Transient.expectation_series_certified ?pool:s.pool ~obs:s.obs
+      ~epsilon:s.epsilon ?leak g ~p0 ~times hs
+  in
+  (value, Array.map lost certificates)
 
 (* The ledger view of a [lower, upper] enclosure whose width comes from
    lost probability mass priced over the reward range [rlo, rhi]. *)
@@ -168,11 +156,9 @@ type transient = {
   value : float array array;
   lower : float array array;
   upper : float array array;
-  certificates : certificate array;
+  lost : float array;
   certs : Cert.t array array;
 }
-
-let transient_certificates t = t.certificates
 
 let transient ?theta ?space s ~rewards =
   let nr = Array.length rewards in
@@ -182,12 +168,12 @@ let transient ?theta ?space s ~rewards =
   let resolved = Array.map (resolve_reward s sp) rewards in
   let hs = Array.map (fun (h, _, _) -> h) resolved in
   let times = times_of s in
-  let value, certificates = certified_series s sp ~theta ~times hs in
+  let value, lost = certified_series s sp ~theta ~times hs in
   let nt = Array.length times in
   let lower = Array.make_matrix nt nr 0.
   and upper = Array.make_matrix nt nr 0. in
   for j = 0 to nt - 1 do
-    let l = lost certificates.(j) in
+    let l = lost.(j) in
     for r = 0 to nr - 1 do
       let _, rlo, rhi = resolved.(r) in
       lower.(j).(r) <- value.(j).(r) +. (l *. rlo);
@@ -196,10 +182,9 @@ let transient ?theta ?space s ~rewards =
   done;
   let certs =
     Array.init nt (fun j ->
-        let l = lost certificates.(j) in
         Array.init nr (fun r ->
             let _, rlo, rhi = resolved.(r) in
-            mass_cert ~lost:l ~rlo ~rhi lower.(j).(r) upper.(j).(r)))
+            mass_cert ~lost:lost.(j) ~rlo ~rhi lower.(j).(r) upper.(j).(r)))
   in
   {
     n = s.n;
@@ -209,7 +194,7 @@ let transient ?theta ?space s ~rewards =
     value;
     lower;
     upper;
-    certificates;
+    lost;
     certs;
   }
 
@@ -220,17 +205,16 @@ type envelope = {
   mean : float array;
   lower : float array;
   upper : float array;
-  certificates : certificate array;
-  escaped : float;
+  lost : float array;
   certs : Cert.t array;
   sweep_steps : int;
 }
 
-let envelope_certificates e = e.certificates
+(* The imprecise lower/upper sweeps of a spec: a fixed grid of
+   [fixed_steps] over the horizon by default, adaptive with target
+   [sweep_eps] when the spec names one. *)
+let fixed_steps = 400
 
-(* The imprecise lower/upper sweeps of a spec: fixed-grid from the
-   spec's step budget by default, adaptive with target [sweep_eps] when
-   the spec names one. *)
 let imprecise_sweep s ~sense im ~h ~times =
   match s.sweep_eps with
   | Some epsilon ->
@@ -239,7 +223,7 @@ let imprecise_sweep s ~sense im ~h ~times =
   | None ->
       let steps_per_unit =
         Stdlib.max 1
-          (int_of_float (Float.ceil (float_of_int s.steps /. s.horizon)))
+          (int_of_float (Float.ceil (float_of_int fixed_steps /. s.horizon)))
       in
       Imprecise_ctmc.fixed_series ?pool:s.pool ~obs:s.obs ~steps_per_unit
         ~sense im ~h ~times
@@ -252,10 +236,10 @@ let envelope ?space s ~reward =
   let times = times_of s in
   let nt = Array.length times in
   let series theta =
-    let vals, certs = certified_series s sp ~theta ~times [| h |] in
-    (Array.map (fun row -> row.(0)) vals, certs)
+    let vals, lost = certified_series s sp ~theta ~times [| h |] in
+    (Array.map (fun row -> row.(0)) vals, lost)
   in
-  let mean, certificates = series (Optim.Box.midpoint box) in
+  let mean, lost = series (Optim.Box.midpoint box) in
   let lower, upper, disc, rnd, sweep_steps =
     match s.scenario with
     | Imprecise ->
@@ -287,23 +271,18 @@ let envelope ?space s ~reward =
         and hi = Array.make nt Float.neg_infinity in
         List.iter
           (fun th ->
-            let e, certs = series th in
+            let e, lost_th = series th in
             for j = 0 to nt - 1 do
-              let l = lost certs.(j) in
+              let l = lost_th.(j) in
               if e.(j) +. (l *. rlo) < lo.(j) then lo.(j) <- e.(j) +. (l *. rlo);
               if e.(j) +. (l *. rhi) > hi.(j) then hi.(j) <- e.(j) +. (l *. rhi)
             done)
           (Optim.Box.sample_grid box grid);
         (lo, hi, Array.make nt 0., Array.make nt 0., 0)
   in
-  let escaped =
-    Array.fold_left (fun acc c -> Float.max acc (lost c)) 0. certificates
-  in
   let certs =
     Array.init nt (fun j ->
-        mass_cert
-          ~lost:(lost certificates.(j))
-          ~rlo ~rhi lower.(j) upper.(j)
+        mass_cert ~lost:lost.(j) ~rlo ~rhi lower.(j) upper.(j)
         |> Cert.widen ~discretisation:disc.(j) ~rounding:rnd.(j))
   in
   {
@@ -313,8 +292,7 @@ let envelope ?space s ~reward =
     mean;
     lower;
     upper;
-    certificates;
-    escaped;
+    lost;
     certs;
     sweep_steps;
   }
@@ -372,11 +350,8 @@ type distribution = {
   states : int;
   theta : Vec.t;
   p : Vec.t;
-  certificate : certificate;
   cert : Cert.t;
 }
-
-let distribution_certificate d = d.certificate
 
 let distribution ?theta ?space s =
   let sp = space_of ?space s in
@@ -399,6 +374,5 @@ let distribution ?theta ?space s =
     states = Ctmc_of_population.n_states sp;
     theta;
     p;
-    certificate;
     cert;
   }

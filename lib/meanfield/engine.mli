@@ -1,23 +1,20 @@
 (** The finite-N CTMC engine behind one spec record.
 
-    Historically the exact finite-N pipeline was driven through four
-    separate entry points — {!Umf_ctmc.Transient},
-    {!Umf_ctmc.Sparse}, {!Umf_ctmc.Imprecise_ctmc} and
-    [Analysis.finite_n_transient] — each with its own calling
-    convention.  This module collapses them behind a single {!spec}
-    record mirroring [Analysis.spec]: declare the model, scenario,
-    population size, horizon, tolerance and truncation policy once,
-    then ask for {!transient} expectations, scenario {!envelope}s, the
-    {!stationary} distribution or the raw {!distribution}.
+    Declare the model, scenario, population size, horizon, tolerance
+    and truncation policy once in a {!spec} (mirroring
+    [Analysis.spec]), then ask for {!transient} expectations, scenario
+    {!envelope}s, the {!stationary} distribution or the raw
+    {!distribution}.
 
-    Every result carries an explicit escaped-mass {!certificate}: under
-    [Adaptive] truncation the engine runs the substochastic operator of
-    the retained lattice and reports the probability mass that provably
-    left it, instead of raising [Transient.Truncated] — for any reward
-    with range [rlo, rhi] over the model's clip box the true value lies
-    in [value + lost·rlo, value + lost·rhi] with
-    [lost = escaped + tail].  Under the default [Exact] truncation the
-    certificate's [escaped] is exactly [0.] and [tail <= epsilon].
+    Every result carries one {!Cert.t} ledger per reported quantity.
+    Under [Adaptive] truncation the engine runs the substochastic
+    operator of the retained lattice and prices the probability mass
+    that provably left it on the certificate's truncation line, instead
+    of raising [Transient.Truncated]: for any reward with range
+    [rlo, rhi] over the model's clip box the true value lies in
+    [value + lost·rlo, value + lost·rhi], where [lost] is the escaped
+    mass plus the uniformisation tail.  Under the default [Exact]
+    truncation nothing escapes and [lost <= epsilon].
 
     All sweeps thread the spec's [pool] (bit-identical to sequential
     for any domain count) and [obs]. *)
@@ -46,9 +43,6 @@ type reward =
   | Custom of { f : Vec.t -> float; range : float * float }
       (** An arbitrary density-level reward with an explicit range
           over the model's domain. *)
-  | Lattice of (Vec.t -> float)
-      (** Range inferred from the enumerated lattice — only sound (and
-          only accepted) under [Exact] truncation. *)
 
 type spec = {
   model : Model.t;
@@ -60,14 +54,14 @@ type spec = {
       (** Query times (default: 11 points linearly spaced on
           [0, horizon]). *)
   epsilon : float;  (** Uniformisation mass tolerance. *)
-  steps : int;  (** Backward-sweep step budget over the horizon. *)
   sweep_eps : float option;
       (** Target certified discretisation error for imprecise backward
-          sweeps.  [None] (default): fixed grid from [steps].  [Some e]:
+          sweeps.  [None] (default): a fixed grid of 400 steps over the
+          horizon (refined for stability by
+          {!Umf_ctmc.Imprecise_ctmc.fixed_series}).  [Some e]:
           Erreygers–De Bock adaptive step selection with a-priori
-          budget [e] over the horizon ({!Umf_ctmc.Imprecise_ctmc
-          .adaptive_series}); [steps] is then ignored on the imprecise
-          path. *)
+          budget [e] over the horizon
+          ({!Umf_ctmc.Imprecise_ctmc.adaptive_series}). *)
   truncation : truncation;
   pool : Umf_runtime.Runtime.Pool.t option;
   obs : Umf_obs.Obs.t;
@@ -79,7 +73,6 @@ val spec :
   ?horizon:float ->
   ?times:float array ->
   ?epsilon:float ->
-  ?steps:int ->
   ?sweep_eps:float ->
   ?truncation:truncation ->
   ?pool:Umf_runtime.Runtime.Pool.t ->
@@ -88,17 +81,11 @@ val spec :
   Model.t ->
   spec
 (** Validated constructor; defaults: [Imprecise] scenario, horizon 10,
-    epsilon 1e-12, steps 400, [Exact {max_states = 2_000_000}].
+    epsilon 1e-12, [Exact {max_states = 2_000_000}].
     @raise Invalid_argument on [n < 1], [horizon <= 0], epsilon outside
-    (0, 1), [steps < 1], [sweep_eps <= 0], [max_states < 1], an
+    (0, 1), [sweep_eps <= 0], [max_states < 1], an
     [Uncertain] grid < 2, a θ-box dimension mismatch, or non-increasing
     [times]. *)
-
-type certificate = Umf_ctmc.Transient.certificate = {
-  escaped : float;
-  tail : float;
-}
-(** See {!Umf_ctmc.Transient.certificate}. *)
 
 val space : spec -> Ctmc_of_population.space
 (** Enumerate the spec's state space (shared by every entry point; pass
@@ -115,16 +102,15 @@ type transient = {
       (** [value + lost·rlo] — certified lower bound on the true
           expectation. *)
   upper : float array array;  (** [value + lost·rhi]. *)
-  certificates : certificate array;  (** Per time point. *)
+  lost : float array;
+      (** Per time point: the probability mass the sweep does not
+          carry (escaped from the retained lattice plus the Poisson
+          tail) — reward-independent, [0.] at time 0. *)
   certs : Cert.t array array;
       (** [certs.(j).(r)]: the [lower, upper] enclosure of time j,
-          reward r as one {!Cert.t} — the lost mass priced over the
+          reward r as one {!Cert.t} — [lost.(j)] priced over the
           reward range on the truncation line. *)
 }
-
-val transient_certificates : transient -> certificate array
-  [@@deprecated "read the certs field (unified Cert ledger) instead"]
-(** The raw escaped/tail view, superseded by [certs]. *)
 
 val transient :
   ?theta:Vec.t ->
@@ -147,8 +133,9 @@ type envelope = {
   mean : float array;  (** Certified sweep at the θ-box midpoint. *)
   lower : float array;
   upper : float array;
-  certificates : certificate array;  (** Of the mean sweep. *)
-  escaped : float;  (** max_j (escaped_j + tail_j) of the mean sweep. *)
+  lost : float array;
+      (** Per time point: the probability mass the midpoint sweep does
+          not carry (see {!transient}). *)
   certs : Cert.t array;
       (** Per time point: the [lower, upper] envelope widened outward
           by the backward sweeps' certified discretisation and rounding
@@ -160,10 +147,6 @@ type envelope = {
       (** Euler steps both imprecise sweeps took together (0 under
           [Uncertain]) — what the adaptive stepper is saving. *)
 }
-
-val envelope_certificates : envelope -> certificate array
-  [@@deprecated "read the certs field (unified Cert ledger) instead"]
-(** The raw escaped/tail view, superseded by [certs]. *)
 
 val envelope :
   ?space:Ctmc_of_population.space -> spec -> reward:reward -> envelope
@@ -210,15 +193,11 @@ type distribution = {
   theta : Vec.t;
   p : Vec.t;
       (** Sub-distribution over the retained lattice at [horizon] (its
-          mass deficit is bounded by the certificate). *)
-  certificate : certificate;
+          mass deficit is bounded by [cert]). *)
   cert : Cert.t;
       (** Certified total retained mass: [Σp, Σp + lost] with the lost
           mass on the truncation line. *)
 }
-
-val distribution_certificate : distribution -> certificate
-  [@@deprecated "read the cert field (unified Cert ledger) instead"]
 
 val distribution :
   ?theta:Vec.t -> ?space:Ctmc_of_population.space -> spec -> distribution

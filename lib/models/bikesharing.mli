@@ -39,7 +39,7 @@ val ictmc : params -> capacity:int -> Umf_ctmc.Imprecise_ctmc.t
 
 val occupancy_reward : capacity:int -> Vec.t
 (** h(k) = k / capacity: the normalised occupancy, as a reward vector
-    for {!Umf_ctmc.Imprecise_ctmc.lower_expectation}. *)
+    for {!Umf_ctmc.Imprecise_ctmc.fixed_series}. *)
 
 val empty_indicator : capacity:int -> Vec.t
 (** h(k) = 1\{k = 0\}: probability the station is empty. *)

@@ -1,7 +1,7 @@
-(* Black-box test of the umf_cli --dt/--epsilon surface: --dt alone
-   still works but warns on stderr (both solvers' wording), and
-   combining --dt with --epsilon is a hard cmdliner usage error that
-   names --epsilon as the winner. *)
+(* Black-box test of the umf_cli tolerance surface: --epsilon (a target
+   certified error) is the one tolerance flag of bounds and ctmc, so
+   --dt there is an unknown option (cmdliner usage error, exit 124),
+   while hull keeps --dt as its own grid step. *)
 
 let cli = Sys.argv.(1)
 
@@ -38,44 +38,32 @@ let contains hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   go 0
 
-let check_warns name args wording =
+let check_ok name args =
   let code, err = run args in
-  if code <> 0 then
-    fail "%s: expected success with --dt alone, got exit %d:\n%s" name code
-      err;
-  List.iter
-    (fun w ->
-      if not (contains err w) then
-        fail "%s: stderr lacks %S:\n%s" name w err)
-    ("warning: --dt is deprecated" :: "--epsilon" :: wording)
+  if code <> 0 then fail "%s: expected success, got exit %d:\n%s" name code err
 
-let check_conflict name args =
-  let code, err = run args in
-  (* Term.term_result errors exit with cmdliner's usage-error code *)
+let check_unknown_dt name args =
+  let code, err = run (args @ [ "--dt"; "0.05" ]) in
   if code <> 124 then
-    fail "%s: expected usage error (124) for --epsilon + --dt, got %d:\n%s"
-      name code err;
-  List.iter
-    (fun w ->
-      if not (contains err w) then
-        fail "%s: conflict message lacks %S:\n%s" name w err)
-    [ "--epsilon and --dt cannot be combined"; "winner" ]
+    fail "%s: expected usage error (124) for --dt, got %d:\n%s" name code err;
+  if not (contains err "--dt") then
+    fail "%s: usage error does not name --dt:\n%s" name err
 
 let bounds_args =
   [ "bounds"; "-m"; "sir"; "--var"; "I"; "--horizon"; "0.5"; "--points";
-    "2"; "--steps"; "20"; "--dt"; "0.05" ]
+    "2"; "--steps"; "20" ]
 
 let ctmc_args =
   [ "ctmc"; "transient"; "-m"; "sir"; "--size"; "5"; "--points"; "2";
-    "--horizon"; "0.5"; "--dt"; "0.05" ]
+    "--horizon"; "0.5" ]
 
 let () =
-  check_warns "bounds --dt" bounds_args
-    [ "grid is refined until the ledger's" ];
-  check_warns "ctmc --dt" ctmc_args [ "adaptive sweep spends it" ];
-  check_conflict "bounds --epsilon --dt"
-    (bounds_args @ [ "--epsilon"; "1e-2" ]);
-  check_conflict "ctmc --epsilon --dt" (ctmc_args @ [ "--epsilon"; "1e-2" ]);
+  check_ok "bounds --epsilon" (bounds_args @ [ "--epsilon"; "1e-2" ]);
+  check_ok "ctmc --epsilon" (ctmc_args @ [ "--epsilon"; "1e-2" ]);
+  check_unknown_dt "bounds" bounds_args;
+  check_unknown_dt "ctmc" ctmc_args;
+  check_ok "hull --dt"
+    [ "hull"; "-m"; "sir"; "--horizon"; "0.5"; "--dt"; "0.05" ];
   print_endline
-    "cli-deprecation OK (both --dt warnings, hard --epsilon/--dt conflict \
-     on both solvers)"
+    "cli-flags OK (--epsilon on bounds and ctmc, --dt refused there, hull \
+     --dt kept)"

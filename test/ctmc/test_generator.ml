@@ -41,7 +41,7 @@ let test_to_dense_row_sums () =
 
 let test_uniformized_stochastic () =
   let g = two_state () in
-  let p = Generator.uniformized g in
+  let p = Umf_reference.Dense.uniformized g in
   check_float "row 0 stochastic" 1. (Vec.sum (Mat.row p 0));
   check_float "row 1 stochastic" 1. (Vec.sum (Mat.row p 1));
   Alcotest.(check bool) "non-negative" true
@@ -49,8 +49,9 @@ let test_uniformized_stochastic () =
 
 let test_uniformized_rate_check () =
   Alcotest.check_raises "rate too small"
-    (Invalid_argument "Generator.uniformized: rate below max exit rate")
-    (fun () -> ignore (Generator.uniformized ~rate:1. (two_state ())))
+    (Invalid_argument "Dense.uniformized: rate below max exit rate")
+    (fun () ->
+      ignore (Umf_reference.Dense.uniformized ~rate:1. (two_state ())))
 
 let test_apply_matches_dense () =
   let g = Generator.make ~n:3 [ (0, 1, 1.); (1, 2, 2.); (2, 0, 0.5); (0, 2, 0.3) ] in

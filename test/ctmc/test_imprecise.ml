@@ -1,12 +1,6 @@
 open Umf_numerics
 open Umf_ctmc
 
-(* this suite doubles as the bit-compat gate for the deprecated
-   fixed-grid wrappers (lower/upper_expectation, *_series,
-   probability_bounds) against the certified sweep API they forward
-   to *)
-[@@@alert "-deprecated"]
-
 (* single-station bike sharing chain (paper Sec. II example):
    states 0..cap bikes; arrivals take a bike at rate θa, returns add one
    at rate θr *)
@@ -22,6 +16,14 @@ let bike_station ~cap ~theta_box =
 
 let box2 a b c d = Optim.Box.make [| a; c |] [| b; d |]
 
+(* the fixed-grid backward sweep's value vector at one horizon *)
+let expectation ?steps_per_unit sense m ~h ~horizon =
+  (Imprecise_ctmc.fixed_series ?steps_per_unit ~sense m ~h
+     ~times:[| horizon |]).values.(0)
+
+let lower ?steps_per_unit m = expectation ?steps_per_unit `Lower m
+let upper ?steps_per_unit m = expectation ?steps_per_unit `Upper m
+
 let test_generator_at () =
   let m = bike_station ~cap:3 ~theta_box:(box2 1. 2. 1. 3.) in
   let g = Imprecise_ctmc.generator_at m [| 1.5; 2. |] in
@@ -35,8 +37,8 @@ let test_degenerate_box_matches_precise () =
   let m = bike_station ~cap:4 ~theta_box:(box2 1.2 1.2 0.8 0.8) in
   let g = Imprecise_ctmc.generator_at m theta in
   let h = Array.init 5 float_of_int in
-  let lo = Imprecise_ctmc.lower_expectation ~steps_per_unit:2000 m ~h ~horizon:1. in
-  let hi = Imprecise_ctmc.upper_expectation ~steps_per_unit:2000 m ~h ~horizon:1. in
+  let lo = lower ~steps_per_unit:2000 m ~h ~horizon:1. in
+  let hi = upper ~steps_per_unit:2000 m ~h ~horizon:1. in
   let p0 = [| 0.; 0.; 1.; 0.; 0. |] in
   let exact = Transient.expectation g ~p0 ~t:1. (fun s -> h.(s)) in
   Alcotest.(check (float 1e-3)) "lower = precise" exact lo.(2);
@@ -47,10 +49,10 @@ let test_bounds_order_and_nesting () =
   let narrow = bike_station ~cap:4 ~theta_box:(box2 1. 1.5 1. 1.5) in
   let wide = bike_station ~cap:4 ~theta_box:(box2 0.5 2. 0.5 2.) in
   let h = Array.init 5 float_of_int in
-  let lo_n = Imprecise_ctmc.lower_expectation narrow ~h ~horizon:2. in
-  let hi_n = Imprecise_ctmc.upper_expectation narrow ~h ~horizon:2. in
-  let lo_w = Imprecise_ctmc.lower_expectation wide ~h ~horizon:2. in
-  let hi_w = Imprecise_ctmc.upper_expectation wide ~h ~horizon:2. in
+  let lo_n = lower narrow ~h ~horizon:2. in
+  let hi_n = upper narrow ~h ~horizon:2. in
+  let lo_w = lower wide ~h ~horizon:2. in
+  let hi_w = upper wide ~h ~horizon:2. in
   for x = 0 to 4 do
     Alcotest.(check bool) "lower <= upper" true (lo_n.(x) <= hi_n.(x) +. 1e-9);
     Alcotest.(check bool) "wider box gives wider bounds (lo)" true
@@ -62,12 +64,14 @@ let test_bounds_order_and_nesting () =
 let test_horizon_zero_is_reward () =
   let m = bike_station ~cap:3 ~theta_box:(box2 1. 2. 1. 2.) in
   let h = [| 5.; 1.; 0.; 2. |] in
-  let lo = Imprecise_ctmc.lower_expectation m ~h ~horizon:0. in
+  let lo = lower m ~h ~horizon:0. in
   Alcotest.(check bool) "g_0 = h" true (Vec.approx_equal lo h)
 
 let test_probability_bounds () =
+  (* P(X_1 = 0 | X_0 = 2): the sweeps on the indicator of state 0 *)
   let m = bike_station ~cap:3 ~theta_box:(box2 1. 3. 1. 3.) in
-  let lo, hi = Imprecise_ctmc.probability_bounds m ~state:0 ~horizon:1. ~x0:2 in
+  let h = [| 1.; 0.; 0.; 0. |] in
+  let lo = (lower m ~h ~horizon:1.).(2) and hi = (upper m ~h ~horizon:1.).(2) in
   Alcotest.(check bool) "probabilities in [0,1]" true
     (lo >= -1e-9 && hi <= 1. +. 1e-9 && lo <= hi)
 
@@ -78,8 +82,8 @@ let test_simulation_within_bounds () =
   let m = bike_station ~cap:5 ~theta_box:box in
   let h = Array.init 6 float_of_int in
   let horizon = 2. in
-  let lo = Imprecise_ctmc.lower_expectation m ~h ~horizon in
-  let hi = Imprecise_ctmc.upper_expectation m ~h ~horizon in
+  let lo = lower m ~h ~horizon in
+  let hi = upper m ~h ~horizon in
   let policies =
     [
       ("constant mid", Imprecise_ctmc.constant_policy [| 2.; 2. |]);
@@ -113,8 +117,8 @@ let test_coarse_grid_auto_refined () =
      envelope invariant holds *)
   let m = bike_station ~cap:4 ~theta_box:(box2 1. 3. 1. 3.) in
   let h = Array.init 5 float_of_int in
-  let lo = Imprecise_ctmc.lower_expectation ~steps_per_unit:1 m ~h ~horizon:2. in
-  let hi = Imprecise_ctmc.upper_expectation ~steps_per_unit:1 m ~h ~horizon:2. in
+  let lo = lower ~steps_per_unit:1 m ~h ~horizon:2. in
+  let hi = upper ~steps_per_unit:1 m ~h ~horizon:2. in
   for x = 0 to 4 do
     Alcotest.(check bool) "lower in [min h, max h]" true
       (lo.(x) >= 0. && lo.(x) <= 4.);
@@ -124,31 +128,59 @@ let test_coarse_grid_auto_refined () =
   done;
   (* and the refined coarse grid still lands near the accurate sweep
      (first-order Euler at dt·λ = 1, so only O(dt) accuracy) *)
-  let ref_lo = Imprecise_ctmc.lower_expectation ~steps_per_unit:2000 m ~h ~horizon:2. in
+  let ref_lo = lower ~steps_per_unit:2000 m ~h ~horizon:2. in
   Alcotest.(check bool) "coarse refined close to accurate" true
     (Vec.dist_inf lo ref_lo < 0.2)
 
-let test_series_matches_single_horizon () =
+let test_series_snapshots () =
+  (* one sweep serves every time point: each snapshot stays ordered *)
   let m = bike_station ~cap:4 ~theta_box:(box2 1. 2. 1. 3.) in
   let h = Array.init 5 float_of_int in
-  let series = Imprecise_ctmc.lower_series m ~h ~times:[| 2. |] in
-  let single = Imprecise_ctmc.lower_expectation m ~h ~horizon:2. in
-  Alcotest.(check bool) "singleton series = single horizon" true
-    (Vec.approx_equal ~tol:0. series.(0) single);
-  (* multi-time series is monotone in nesting: each snapshot stays in
-     the envelope *)
   let times = [| 0.5; 1.; 2. |] in
-  let los = Imprecise_ctmc.lower_series m ~h ~times in
-  let his = Imprecise_ctmc.upper_series m ~h ~times in
+  let series sense = Imprecise_ctmc.fixed_series ~sense m ~h ~times in
+  let los = series `Lower and his = series `Upper in
   Array.iteri
     (fun j _ ->
       for x = 0 to 4 do
-        Alcotest.(check bool) "lo <= hi" true (los.(j).(x) <= his.(j).(x) +. 1e-9)
+        Alcotest.(check bool) "lo <= hi" true
+          (los.values.(j).(x) <= his.values.(j).(x) +. 1e-9)
       done)
     times;
   Alcotest.check_raises "times must increase"
     (Invalid_argument "Imprecise_ctmc: times not increasing") (fun () ->
-      ignore (Imprecise_ctmc.lower_series m ~h ~times:[| 1.; 0.5 |]))
+      ignore
+        (Imprecise_ctmc.fixed_series ~sense:`Lower m ~h ~times:[| 1.; 0.5 |]))
+
+let test_series_matches_single_horizon () =
+  (* each snapshot of a multi-time sweep agrees with a sweep run to that
+     horizon alone: bitwise on the first segment (the same grid), and
+     within the two certified error budgets after it (the segmented
+     grid differs from the single one) *)
+  let m = bike_station ~cap:4 ~theta_box:(box2 1. 2. 1. 3.) in
+  let h = Array.init 5 float_of_int in
+  let times = [| 0.5; 1.; 2. |] in
+  List.iter
+    (fun sense ->
+      let series = Imprecise_ctmc.fixed_series ~sense m ~h ~times in
+      Array.iteri
+        (fun j t ->
+          let single =
+            Imprecise_ctmc.fixed_series ~sense m ~h ~times:[| t |]
+          in
+          let budget =
+            series.eps.(j) +. series.rounding.(j) +. single.eps.(0)
+            +. single.rounding.(0)
+          in
+          if j = 0 then
+            Alcotest.(check bool) "first snapshot = single horizon" true
+              (Vec.approx_equal ~tol:0. series.values.(0) single.values.(0));
+          Alcotest.(check bool)
+            (Printf.sprintf "snapshot within budget of single horizon at t=%g"
+               t)
+            true
+            (Vec.dist_inf series.values.(j) single.values.(0) <= budget))
+        times)
+    [ `Lower; `Upper ]
 
 let path_equal (a : Path.t) (b : Path.t) =
   a.Path.times = b.Path.times && a.Path.states = b.Path.states
@@ -218,5 +250,6 @@ let suites =
         Alcotest.test_case "simulate cache bit-identical" `Quick
           test_simulate_cache_bitwise;
         Alcotest.test_case "negative rate detection" `Quick test_negative_rate_detected;
+        Alcotest.test_case "series snapshots" `Quick test_series_snapshots;
       ] );
   ]

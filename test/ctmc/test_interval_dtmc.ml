@@ -1,5 +1,6 @@
 open Umf_numerics
 open Umf_ctmc
+open Umf_reference
 
 let iv = Interval.make
 

@@ -36,7 +36,7 @@ let test_matches_dense_bitwise () =
     let g = random_chain rng n in
     let rate = 1.01 *. Generator.max_exit_rate g in
     let v = random_distribution rng n in
-    let dense = Mat.tmulv (Generator.uniformized ~rate g) v in
+    let dense = Mat.tmulv (Umf_reference.Dense.uniformized ~rate g) v in
     let op = Sparse.forward ~rate g in
     let into = Vec.zeros n in
     ignore (Sparse.step_into op v ~into : float);
@@ -47,7 +47,7 @@ let test_default_rate_matches () =
   let rng = Rng.create 7 in
   let g = random_chain rng 17 in
   let v = random_distribution rng 17 in
-  let dense = Mat.tmulv (Generator.uniformized g) v in
+  let dense = Mat.tmulv (Umf_reference.Dense.uniformized g) v in
   let op = Sparse.forward g in
   Alcotest.(check (float 0.))
     "same default rate"

@@ -28,7 +28,7 @@ let test_matches_ode () =
   let g = Generator.make ~n:3 [ (0, 1, 1.); (1, 2, 2.); (2, 0, 0.7); (0, 2, 0.2) ] in
   let p0 = [| 1.; 0.; 0. |] in
   let pu = Transient.uniformization g ~p0 ~t:1.7 in
-  let po = Transient.kolmogorov_ode ~dt:1e-4 g ~p0 ~t:1.7 in
+  let po = Umf_reference.Dense.kolmogorov_ode ~dt:1e-4 g ~p0 ~t:1.7 in
   Alcotest.(check bool) "uniformization = ODE" true
     (Vec.approx_equal ~tol:1e-6 pu po)
 
@@ -68,7 +68,7 @@ let test_large_lambda_t_vs_ode () =
   in
   let p0 = [| 1.; 0.; 0. |] in
   let pu = Transient.uniformization g ~p0 ~t:3. in
-  let po = Transient.kolmogorov_ode ~dt:1e-6 g ~p0 ~t:3. in
+  let po = Umf_reference.Dense.kolmogorov_ode ~dt:1e-6 g ~p0 ~t:3. in
   Alcotest.(check bool)
     "uniformization = ODE at large Λt" true
     (Vec.approx_equal ~tol:1e-6 pu po)

@@ -1,8 +1,8 @@
 (* The finite-N engine against the mean-field machinery: Theorem 1
    sanity (the exact transient mean lies inside the
    differential-inclusion bounds), envelope consistency between the
-   two scenarios, pool determinism, the affine-θ gate, adaptive
-   truncation soundness and the deprecated Analysis wrapper. *)
+   two scenarios, pool determinism, the affine-θ gate and adaptive
+   truncation soundness. *)
 
 open Umf
 
@@ -47,14 +47,15 @@ let test_theorem1_sir () =
     times;
   Alcotest.(check (float 1e-9)) "t=0 mean is the initial density" 0.3
     fn.mean.(0);
-  (* the space is exact so nothing escapes; the tail deficit is pure
-     roundoff of the log-space Poisson weights (ln k! sums ~1.6e3 logs
-     at λt ≈ 1.5e3, so Σ w_k = 1 ± ~1e-9, far above ε = 1e-12) *)
+  (* the space is exact so nothing escapes; the lost mass is the tail
+     deficit, pure roundoff of the log-space Poisson weights (ln k! sums
+     ~1.6e3 logs at λt ≈ 1.5e3, so Σ w_k = 1 ± ~1e-9, far above
+     ε = 1e-12) *)
   Alcotest.(check bool) "exact certificates" true
-    (Array.for_all
-       (fun (c : Ctmc.Engine.certificate) ->
-         c.escaped = 0. && c.tail <= 1e-8)
-       fn.certificates)
+    (Array.for_all (fun l -> l <= 1e-8) fn.lost
+    && Array.for_all
+         (fun (c : Cert.t) -> c.budget.truncation <= 1e-8)
+         fn.certs)
 
 let test_imprecise_contains_uncertain () =
   (* the imprecise (time-varying θ) envelope must contain the
@@ -181,8 +182,7 @@ let test_adaptive_bounds_truncated_run () =
   let cut = run (Ctmc.Engine.Adaptive { max_states = 100 }) in
   Alcotest.(check int) "retained = budget" 100 cut.Ctmc.Engine.states;
   Array.iteri
-    (fun j (c : Ctmc.Engine.certificate) ->
-      let lost = c.escaped +. c.tail in
+    (fun j lost ->
       Alcotest.(check bool)
         (Printf.sprintf "escaped mass positive by t=%g" t2.(j))
         true
@@ -195,39 +195,12 @@ let test_adaptive_bounds_truncated_run () =
       Alcotest.(check bool)
         (Printf.sprintf "interval width = lost * range at t=%g" t2.(j))
         true
-        (Float.abs (cut.upper.(j).(0) -. cut.lower.(j).(0) -. lost) < 1e-12))
-    cut.certificates
-
-(* the deprecated one-line wrapper must agree with the Engine it
-   forwards to *)
-[@@@alert "-deprecated"]
-
-let test_deprecated_wrapper_compat () =
-  let model = Sir.make Sir.default_params in
-  let t2 = Vec.linspace 0. 2. 5 in
-  let spec =
-    Analysis.spec ~scenario:(Analysis.Uncertain 2) ~horizon:2. model
-  in
-  let fn =
-    Analysis.finite_n_transient ~times:t2 spec ~n:30 ~reward:(fun x -> x.(1))
-  in
-  let env =
-    Ctmc.Engine.envelope
-      (engine_spec ~scenario:(Ctmc.Engine.Uncertain 2) ~horizon:2. ~times:t2
-         ~n:30 model)
-      ~reward:(Ctmc.Engine.Lattice (fun x -> x.(1)))
-  in
-  Alcotest.(check int) "states" env.Ctmc.Engine.states fn.Analysis.states;
-  Array.iteri
-    (fun j x ->
-      if Int64.bits_of_float x <> Int64.bits_of_float env.mean.(j) then
-        Alcotest.failf "wrapper mean differs at %d" j)
-    fn.Analysis.mean;
-  Array.iteri
-    (fun j x ->
-      if Int64.bits_of_float x <> Int64.bits_of_float env.lower.(j) then
-        Alcotest.failf "wrapper lower differs at %d" j)
-    fn.Analysis.lower
+        (Float.abs (cut.upper.(j).(0) -. cut.lower.(j).(0) -. lost) < 1e-12);
+      Alcotest.(check bool)
+        (Printf.sprintf "truncation line = lost * range at t=%g" t2.(j))
+        true
+        (Float.abs (cut.certs.(j).(0).Cert.budget.truncation -. lost) < 1e-12))
+    cut.lost
 
 let suites =
   [
@@ -243,7 +216,5 @@ let suites =
           test_adaptive_bounds_exact_run;
         Alcotest.test_case "adaptive certifies truncated run" `Quick
           test_adaptive_bounds_truncated_run;
-        Alcotest.test_case "deprecated wrapper compat" `Quick
-          test_deprecated_wrapper_compat;
       ] );
   ]

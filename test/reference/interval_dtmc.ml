@@ -1,4 +1,5 @@
 open Umf_numerics
+open Umf_ctmc
 
 type t = { n : int; lo : float array array; hi : float array array }
 

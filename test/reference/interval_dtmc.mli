@@ -11,6 +11,7 @@
     smallest-g states up to their upper bounds first). *)
 
 open Umf_numerics
+open Umf_ctmc
 
 type t
 
