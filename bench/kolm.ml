@@ -27,7 +27,7 @@ let run () =
       in
       let g = Ctmc.Imprecise.generator_at m theta_mid in
       let p0 = Array.init (capacity + 1) (fun i -> if i = x0 then 1. else 0.) in
-      let mid = Ctmc.Transient.expectation g ~p0 ~t (fun s -> h.(s)) in
+      let mid = Vec.dot (fst (Ctmc.Transient.uniformization g ~p0 ~t)) h in
       if not (lo -. 1e-3 <= mid && mid <= hi +. 1e-3) then sound := false;
       Printf.printf "%.1f\t%.4f\t%.4f\t%.4f\n" t lo hi mid)
     times;

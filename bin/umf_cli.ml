@@ -8,8 +8,8 @@
      umf_cli bounds --model sir --var I --scenario pw:3
      umf_cli hull --model sir --horizon 10
      umf_cli steady --model sir
-     umf_cli simulate --model sir --n 1000 --tmax 20 --policy theta1
-     umf_cli simulate --model sir --n 1000 --reps 50 --jobs 0
+     umf_cli simulate --model sir -n 1000 --horizon 20 --policy theta1
+     umf_cli simulate --model sir -n 1000 --reps 50 --jobs 0
      umf_cli ctmc transient --model sir -n 200 --horizon 5
      umf_cli ctmc stationary --model sir -n 100 --theta hi
      umf_cli ctmc bounds --model sir -n 100 --var I --scenario imprecise
@@ -29,9 +29,9 @@
    the catalogue and a nearest-name suggestion.
 
    Every command pulls its model from {!Umf.Registry} — the CLI holds
-   no model definitions of its own.  The registered [Model.t] carries
-   everything a command needs: x0, the state clip box, named policies
-   and the symbolic transitions the linter checks.
+   no model definitions of its own — and every analysis command runs
+   through {!Umf.Codec}, the op layer umf_serve serves, so a CLI run
+   and the equivalent served request print the same numbers.
 
    --jobs (or UMF_JOBS) only changes wall-clock time, never results:
    parallel sweeps use per-task RNG streams split deterministically
@@ -55,9 +55,7 @@ let model_conv =
 
 let var_index m name =
   let names = Model.var_names m in
-  let found = ref None in
-  Array.iteri (fun i n -> if n = name then found := Some i) names;
-  match !found with
+  match Array.find_index (String.equal name) names with
   | Some i -> Ok i
   | None ->
       Error
@@ -66,11 +64,11 @@ let var_index m name =
              (String.concat ", " (Array.to_list names))))
 
 let parse_scenario = function
-  | "imprecise" -> Ok Scenario.Imprecise
-  | "uncertain" -> Ok Scenario.Uncertain
+  | "imprecise" -> Ok Analysis.Imprecise
+  | "uncertain" -> Ok (Analysis.Uncertain 5)
   | s when String.length s > 3 && String.sub s 0 3 = "pw:" -> (
       match int_of_string_opt (String.sub s 3 (String.length s - 3)) with
-      | Some k when k >= 1 -> Ok (Scenario.Piecewise k)
+      | Some k when k >= 1 -> Ok (Analysis.Piecewise k)
       | _ -> Error (`Msg "pw:<k> needs a positive integer"))
   | s -> Error (`Msg (Printf.sprintf "unknown scenario %s" s))
 
@@ -83,6 +81,9 @@ let model_arg =
         ~doc:
           "Model name (see `models').  Unknown names list the catalogue \
            and suggest the nearest registered model.")
+
+let n_arg default =
+  Arg.(value & opt int default & info [ "n"; "size" ] ~docv:"N" ~doc:"Population size.")
 
 let horizon_arg default =
   Arg.(value & opt float default & info [ "horizon" ] ~docv:"T" ~doc:"Time horizon.")
@@ -100,18 +101,6 @@ let jobs_arg =
           "Worker domains for parallel sweeps: 1 runs sequentially \
            (default), 0 picks one per core, $(docv) uses that many \
            domains.  Output is bit-identical for any value.")
-
-let with_jobs ?(obs = Obs.off) jobs f =
-  if jobs < 0 then Error (`Msg "--jobs must be >= 0")
-  else if jobs = 1 then f None
-  else
-    let pool =
-      if jobs = 0 then Runtime.Pool.create ~obs ()
-      else Runtime.Pool.create ~obs ~domains:jobs ()
-    in
-    Fun.protect
-      ~finally:(fun () -> Runtime.Pool.shutdown pool)
-      (fun () -> f (Some pool))
 
 (* observability: --trace streams NDJSON solver events, --metrics prints
    an aggregate summary.  Every analysis run keeps an in-memory registry
@@ -148,18 +137,6 @@ let print_metrics agg =
         g.Obs.Agg.last g.Obs.Agg.g_min g.Obs.Agg.g_max)
     (Obs.Agg.gauges agg)
 
-(* the itemised error ledger of a result, printed to stderr next to the
-   metrics summary: one line for the certified enclosure, one per
-   budget line (discretisation, truncation, rounding, optimiser) *)
-let print_cert name (c : Cert.t) =
-  Printf.eprintf "# cert  %-28s value=[%g, %g] width=%g total=%g%s\n" name
-    (Interval.lo c.Cert.value) (Interval.hi c.Cert.value) (Cert.width c)
-    (Cert.total c)
-    (if Cert.is_vacuous c then " VACUOUS" else "");
-  List.iter
-    (fun (line, v) -> Printf.eprintf "# cert  %-28s %s=%g\n" name line v)
-    (Cert.lines c)
-
 (* the solvers report failed fixpoints through dedicated counters *)
 let check_converged agg =
   let n = Obs.Agg.counter agg in
@@ -174,25 +151,6 @@ let check_converged agg =
         (Printf.sprintf "Birkhoff iteration did not converge (%.0f rounds)"
            (n "birkhoff.iterations")))
   else Ok ()
-
-let with_obs ~trace ~metrics f =
-  let ( let* ) = Result.bind in
-  let agg = Obs.Agg.create () in
-  let run tr = f (Obs.make ~agg ?trace:tr ()) in
-  let* () =
-    match trace with
-    | None -> run None
-    | Some file ->
-        (* the sink owns the channel: close flushes the tail even when
-           the run raises, so killed-mid-run traces stay complete up to
-           the last emitted event *)
-        let tr = Obs.Trace.to_file file in
-        Fun.protect
-          ~finally:(fun () -> Obs.Trace.close tr)
-          (fun () -> run (Some tr))
-  in
-  if metrics then print_metrics agg;
-  check_converged agg
 
 let exit_of_result = function
   | Ok () -> ()
@@ -237,6 +195,71 @@ let models_cmd =
   in
   Cmd.v (Cmd.info "models" ~doc) Term.(const run $ const ())
 
+(* Every analysis subcommand is the same pipeline: its flags become one
+   Codec request, that request runs through exactly one Codec.eval —
+   the op layer umf_serve calls too — and Codec.render prints the
+   answer: the stdout table, plus the ledger lines under --metrics. *)
+let request m op =
+  {
+    Codec.id = Obs.Json.Null;
+    model = Model.name m;
+    scenario = Analysis.Imprecise;
+    theta = None;
+    horizon = None;
+    steps = None;
+    dt = None;
+    tol = None;
+    op;
+    deadline_ms = None;
+    cache = false;
+  }
+
+let analyse ~jobs ~trace ~metrics m req =
+  let agg = Obs.Agg.create () in
+  (* the trace sink owns its channel: closing it flushes the tail even
+     when the run raises, so killed-mid-run traces stay complete up to
+     the last emitted event *)
+  let tr = Option.map Obs.Trace.to_file trace in
+  let obs = Obs.make ~agg ?trace:tr () in
+  let pool =
+    if jobs < 0 || jobs = 1 then None
+    else
+      Some
+        (Runtime.Pool.create ~obs
+           ?domains:(if jobs = 0 then None else Some jobs)
+           ())
+  in
+  let run () =
+    if jobs < 0 then Error (`Msg "--jobs must be >= 0")
+    else
+      match
+        let resolve _ = Ok m in
+        let spec = Codec.spec_of_request ~resolve ?pool ~obs req in
+        let result, cert = Codec.eval spec req.Codec.op in
+        Codec.render spec req.Codec.op result (Codec.json_of_cert cert)
+      with
+      | out, certs ->
+          print_string out;
+          if metrics then prerr_string certs;
+          Ok ()
+      | exception Codec.Bad_request m -> Error (`Msg m)
+  in
+  match
+    Fun.protect run ~finally:(fun () ->
+        Option.iter Runtime.Pool.shutdown pool;
+        Option.iter Obs.Trace.close tr)
+  with
+  | Error _ as e -> e
+  | Ok () ->
+      if metrics then print_metrics agg;
+      check_converged agg
+
+let ( let* ) = Result.bind
+
+let epsilon_ok = function
+  | Some e when e <= 0. -> Error (`Msg "--epsilon must be > 0")
+  | _ -> Ok ()
+
 (* bounds command *)
 let bounds_cmd =
   let doc = "Reachability envelope of one variable over time." in
@@ -271,76 +294,24 @@ let bounds_cmd =
   in
   let run m var scenario horizon points steps epsilon jobs trace metrics =
     exit_of_result
-      (let ( let* ) = Result.bind in
-       let* coord = var_index m var in
-       let* scen = parse_scenario scenario in
-       let* () =
-         match epsilon with
-         | Some e when e <= 0. -> Error (`Msg "--epsilon must be > 0")
-         | _ -> Ok ()
-       in
+      (let* coord = var_index m var in
+       let* scenario = parse_scenario scenario in
+       let* () = epsilon_ok epsilon in
        if points < 2 then Error (`Msg "need at least 2 points")
        else
-         with_obs ~trace ~metrics (fun obs ->
-             with_jobs ~obs jobs (fun pool ->
-                 let times = Vec.linspace 0. horizon points in
-                 let steps =
-                   match epsilon with
-                   | Some e ->
-                       Int.max steps (int_of_float (Float.ceil (horizon /. e)))
-                   | None -> steps
-                 in
-                 let dt =
-                   match epsilon with Some e -> Float.min 1e-2 e | None -> 1e-2
-                 in
-                 match scen with
-                 | Scenario.Imprecise | Scenario.Uncertain ->
-                     let scenario =
-                       match scen with
-                       | Scenario.Uncertain -> Analysis.Uncertain 5
-                       | _ -> Analysis.Imprecise
-                     in
-                     let tol =
-                       match epsilon with Some e -> e | None -> 1e-4
-                     in
-                     let spec =
-                       Analysis.spec ~scenario ~horizon ~steps ~dt ~tol
-                         ?pool ~obs m
-                     in
-                     let b =
-                       Analysis.transient_bounds ~times spec ~x0:(Model.x0 m)
-                         ~coord
-                     in
-                     Printf.printf "t\t%s_min\t%s_max\n" var var;
-                     Array.iteri
-                       (fun i t ->
-                         Printf.printf "%.3f\t%.5f\t%.5f\n" t
-                           b.Analysis.lower.(i) b.Analysis.upper.(i))
-                       times;
-                     if metrics then
-                       print_cert "analysis.transient_bounds" b.Analysis.cert;
-                     Ok ()
-                 | scen ->
-                     (* the intermediate adversaries (pw:k, …) keep the
-                        per-horizon extremal search: certified inner
-                        bounds by construction, no error ledger yet *)
-                     let di = Di.of_model m in
-                     let x0 = Model.x0 m in
-                     Printf.printf "t\t%s_min\t%s_max\n" var var;
-                     Array.iter
-                       (fun t ->
-                         if t <= 0. then
-                           Printf.printf "%.3f\t%.5f\t%.5f\n" t x0.(coord)
-                             x0.(coord)
-                         else begin
-                           let lo, hi =
-                             Scenario.extremal_coord ?pool ~obs ~steps ~dt
-                               scen di ~x0 ~coord ~horizon:t
-                           in
-                           Printf.printf "%.3f\t%.5f\t%.5f\n" t lo hi
-                         end)
-                       times;
-                     Ok ())))
+         let steps, dt, tol =
+           match epsilon with
+           | Some e ->
+               ( Int.max steps (int_of_float (Float.ceil (horizon /. e))),
+                 Float.min 1e-2 e,
+                 e )
+           | None -> (steps, 1e-2, 1e-4)
+         in
+         let times = Some (Vec.linspace 0. horizon points) in
+         analyse ~jobs ~trace ~metrics m
+           { (request m (Codec.Bounds { x0 = None; coord; times })) with
+             scenario; horizon = Some horizon; steps = Some steps;
+             dt = Some dt; tol = Some tol })
   in
   Cmd.v (Cmd.info "bounds" ~doc)
     Term.(
@@ -356,25 +327,9 @@ let hull_cmd =
   in
   let run m horizon dt trace metrics =
     exit_of_result
-      (with_obs ~trace ~metrics (fun obs ->
-           let h =
-             Hull.bounds ~clip:(Model.clip m) ~obs (Di.of_model m)
-               ~x0:(Model.x0 m) ~horizon ~dt
-           in
-           let names = Model.var_names m in
-           print_string "t";
-           Array.iter (fun n -> Printf.printf "\t%s_lo\t%s_hi" n n) names;
-           print_newline ();
-           Array.iter
-             (fun t ->
-               Printf.printf "%.3f" t;
-               let lo = Hull.lower_at h t and hi = Hull.upper_at h t in
-               Array.iteri
-                 (fun i _ -> Printf.printf "\t%.5f\t%.5f" lo.(i) hi.(i))
-                 names;
-               print_newline ())
-             (Vec.linspace 0. horizon 11);
-           Ok ()))
+      (analyse ~jobs:1 ~trace ~metrics m
+         { (request m (Codec.Hull_bounds { x0 = None })) with
+           horizon = Some horizon; dt = Some dt })
   in
   Cmd.v (Cmd.info "hull" ~doc)
     Term.(
@@ -386,20 +341,8 @@ let steady_cmd =
   let doc = "Steady-state Birkhoff region of a 2-variable model." in
   let run m trace metrics =
     exit_of_result
-      (if Model.dim m <> 2 then
-         Error (`Msg "steady-state regions are computed for 2-variable models")
-       else
-         with_obs ~trace ~metrics (fun obs ->
-             let b =
-               Birkhoff.compute ~obs (Di.of_model m) ~x_start:(Model.x0 m)
-             in
-             Printf.printf "# %s\n" (Birkhoff.result_to_string b);
-             let names = Model.var_names m in
-             Printf.printf "%s\t%s\n" names.(0) names.(1);
-             List.iter
-               (fun (x, y) -> Printf.printf "%.5f\t%.5f\n" x y)
-               (Geometry.resample_boundary b.Birkhoff.polygon 60);
-             Ok ()))
+      (analyse ~jobs:1 ~trace ~metrics m
+         (request m (Codec.Steady { x_start = Some (Model.x0 m) })))
   in
   Cmd.v (Cmd.info "steady" ~doc)
     Term.(const run $ model_arg $ trace_arg $ metrics_arg)
@@ -407,11 +350,6 @@ let steady_cmd =
 (* simulate command *)
 let simulate_cmd =
   let doc = "Exact stochastic simulation of the size-N system." in
-  let n_arg =
-    Arg.(
-      value & opt int 1000
-      & info [ "n"; "size" ] ~docv:"N" ~doc:"Population size.")
-  in
   let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.") in
   let points_arg =
     Arg.(value & opt int 50 & info [ "points" ] ~docv:"P" ~doc:"Output samples.")
@@ -431,87 +369,26 @@ let simulate_cmd =
              trajectory is sampled over time; with $(docv) > 1 the final \
              state of $(docv) runs is reported (parallelises with --jobs).")
   in
-  let run m n tmax seed points policy reps jobs trace metrics =
+  let run m n horizon seed points policy reps jobs trace metrics =
     exit_of_result
-      (let ( let* ) = Result.bind in
-       let pop = Model.population m in
-       let x0 = Model.x0 m in
-       let box = Model.theta m in
-       let* pol =
-         match policy with
-         | "mid" -> Ok (Policy.constant (Optim.Box.midpoint box))
-         | "lo" -> Ok (Policy.constant box.Optim.Box.lo)
-         | "hi" -> Ok (Policy.constant box.Optim.Box.hi)
-         | name -> (
-             match List.assoc_opt name (Model.policies m) with
-             | Some p -> Ok p
-             | None ->
-                 Error
-                   (`Msg
-                     (Printf.sprintf "unknown policy %s for this model" name)))
-       in
-       if points < 1 then Error (`Msg "need at least one point")
-       else if reps < 1 then Error (`Msg "need at least one replication")
+      (if points < 1 then Error (`Msg "need at least one point")
        else
-         with_obs ~trace ~metrics (fun obs ->
-             if reps = 1 then begin
-               let times =
-                 Array.init points (fun i ->
-                     tmax *. float_of_int (i + 1) /. float_of_int points)
-               in
-               let states =
-                 Ssa.sampled ~obs pop ~n ~x0 ~policy:pol ~times
-                   (Rng.create seed)
-               in
-               let names = Model.var_names m in
-               Printf.printf "t\t%s\n"
-                 (String.concat "\t" (Array.to_list names));
-               Array.iteri
-                 (fun i t ->
-                   Printf.printf "%.3f" t;
-                   Array.iter (fun v -> Printf.printf "\t%.5f" v) states.(i);
-                   print_newline ())
-                 times;
-               Ok ()
-             end
-             else
-               with_jobs ~obs jobs (fun pool ->
-                   let finals =
-                     Ssa.replicate ?pool ~obs pop ~n ~x0 ~policy:pol ~tmax
-                       ~reps ~seed
-                   in
-                   let names = Model.var_names m in
-                   Printf.printf "rep\t%s\n"
-                     (String.concat "\t" (Array.to_list names));
-                   Array.iteri
-                     (fun i x ->
-                       Printf.printf "%d" i;
-                       Array.iter (fun v -> Printf.printf "\t%.5f" v) x;
-                       print_newline ())
-                     finals;
-                   let dim = Model.dim m in
-                   Printf.printf "mean";
-                   for c = 0 to dim - 1 do
-                     let s =
-                       Array.fold_left (fun acc x -> acc +. x.(c)) 0. finals
-                     in
-                     Printf.printf "\t%.5f" (s /. float_of_int reps)
-                   done;
-                   print_newline ();
-                   Ok ())))
+         let sample = if reps = 1 then `Trajectory points else `Finals reps in
+         analyse ~jobs ~trace ~metrics m
+           { (request m (Codec.Simulate { n; policy; seed; sample })) with
+             horizon = Some horizon })
   in
   Cmd.v (Cmd.info "simulate" ~doc)
     Term.(
-      const run $ model_arg $ n_arg $ horizon_arg 10. $ seed_arg $ points_arg
+      const run $ model_arg $ n_arg 1000 $ horizon_arg 10. $ seed_arg $ points_arg
       $ policy_arg $ reps_arg $ jobs_arg $ trace_arg $ metrics_arg)
 
-(* ctmc command: the finite-N engine behind Ctmc.Engine.spec *)
+(* ctmc command: the finite-N engine *)
 let ctmc_cmd =
   let doc =
-    "Finite-N CTMC analysis through the Ctmc.Engine spec front door: \
-     enumerate the N-scaled lattice of a model (exactly, or adaptively \
-     truncated with certified escaped-mass bounds) and solve it with the \
-     sparse uniformisation engine."
+    "Finite-N CTMC analysis: enumerate the N-scaled lattice of a model \
+     (exactly, or adaptively truncated with certified escaped-mass bounds) \
+     and solve it with the sparse uniformisation engine."
   in
   let mode_arg =
     Arg.(
@@ -522,8 +399,8 @@ let ctmc_cmd =
                 [
                   ("transient", `Transient);
                   ("stationary", `Stationary);
-                  ("bounds", `Bounds);
-                  ("first-passage", `FirstPassage);
+                  ("bounds", `Envelope);
+                  ("first-passage", `First_passage);
                 ]))
           None
       & info [] ~docv:"MODE"
@@ -534,11 +411,6 @@ let ctmc_cmd =
              `first-passage' (certified hitting-probability and \
              mean-first-passage-time bounds for a threshold on one \
              variable, over every adapted $(b,theta)-process).")
-  in
-  let n_arg =
-    Arg.(
-      value & opt int 100
-      & info [ "n"; "size" ] ~docv:"N" ~doc:"Population size.")
   in
   let var_arg =
     Arg.(
@@ -621,182 +493,60 @@ let ctmc_cmd =
              reports the escaped probability mass as a certified bound \
              (escaped column).")
   in
-  let theta_of m = function
-    | "mid" -> Ok (Optim.Box.midpoint (Model.theta m))
-    | "lo" -> Ok ((Model.theta m).Optim.Box.lo)
-    | "hi" -> Ok ((Model.theta m).Optim.Box.hi)
-    | s -> Error (`Msg (Printf.sprintf "unknown theta point %s" s))
-  in
-  let run mode m n var theta scenario grid horizon points epsilon above
+  let run mode m n var theta_point scenario grid horizon points epsilon above
       below max_states truncation jobs trace metrics =
     exit_of_result
-      (let ( let* ) = Result.bind in
-       let* () =
-         match epsilon with
-         | Some e when e <= 0. -> Error (`Msg "--epsilon must be > 0")
-         | _ -> Ok ()
-       in
+      (let* () = epsilon_ok epsilon in
        if n < 1 then Error (`Msg "--n must be >= 1")
        else if points < 2 then Error (`Msg "need at least 2 points")
        else
-         try
-           with_obs ~trace ~metrics (fun obs ->
-               with_jobs ~obs jobs (fun pool ->
-                   let names = Model.var_names m in
-                   let truncation =
-                     match truncation with
-                     | `Exact -> Ctmc.Engine.Exact { max_states }
-                     | `Adaptive -> Ctmc.Engine.Adaptive { max_states }
-                   in
-                   (* --epsilon is the whole certified-error target: half
-                      goes to the uniformisation mass tolerance, half to
-                      the adaptive sweep's discretisation budget. *)
-                   let mass_eps, sweep_eps =
-                     match epsilon with
-                     | Some e -> (e /. 2., Some (e /. 2.))
-                     | None -> (1e-12, None)
-                   in
-                   let spec_of scenario =
-                     Ctmc.Engine.spec ~scenario ~horizon
-                       ~times:(Vec.linspace 0. horizon points)
-                       ~epsilon:mass_eps ?sweep_eps ~truncation ?pool ~obs ~n
-                       m
-                   in
-                   match mode with
-                   | `Bounds ->
-                       let* var =
-                         match var with
-                         | Some v -> Ok v
-                         | None -> Error (`Msg "bounds needs --var")
-                       in
-                       let* coord = var_index m var in
-                       let* scen =
-                         match scenario with
-                         | "imprecise" -> Ok Ctmc.Engine.Imprecise
-                         | "uncertain" -> Ok (Ctmc.Engine.Uncertain grid)
-                         | s ->
-                             Error
-                               (`Msg (Printf.sprintf "unknown scenario %s" s))
-                       in
-                       let spec = spec_of scen in
-                       let env =
-                         Ctmc.Engine.envelope spec
-                           ~reward:(Ctmc.Engine.Coord coord)
-                       in
-                       Printf.printf "# states=%d escaped<=%.3g\n"
-                         env.Ctmc.Engine.states
-                         (Array.fold_left Float.max 0. env.lost);
-                       Printf.printf "t\t%s_mean\t%s_min\t%s_max\tescaped\n"
-                         var var var;
-                       Array.iteri
-                         (fun j t ->
-                           Printf.printf "%.3f\t%.5f\t%.5f\t%.5f\t%.3g\n" t
-                             env.mean.(j) env.lower.(j) env.upper.(j)
-                             env.lost.(j))
-                         env.times;
-                       if metrics then begin
-                         let last = Array.length env.Ctmc.Engine.certs - 1 in
-                         if last >= 0 then
-                           print_cert
-                             (Printf.sprintf "ctmc.envelope.%s" var)
-                             env.Ctmc.Engine.certs.(last)
-                       end;
-                       Ok ()
-                   | `FirstPassage ->
-                       let* var =
-                         match var with
-                         | Some v -> Ok v
-                         | None -> Error (`Msg "first-passage needs --var")
-                       in
-                       let* coord = var_index m var in
-                       let* target =
-                         match (above, below) with
-                         | Some a, None -> Ok (fun (x : Vec.t) -> x.(coord) >= a)
-                         | None, Some b -> Ok (fun (x : Vec.t) -> x.(coord) <= b)
-                         | _ ->
-                             Error
-                               (`Msg
-                                 "first-passage needs exactly one of \
-                                  --above/--below")
-                       in
-                       let spec = Analysis.spec ~horizon ?pool ~obs m in
-                       let fp =
-                         Analysis.first_passage
-                           ~times:(Vec.linspace 0. horizon points)
-                           ?epsilon ~max_states spec ~n ~target
-                       in
-                       Printf.printf "# states=%d mfpt in [%.5f, %.5f]\n"
-                         fp.Analysis.states fp.Analysis.mfpt_lower
-                         fp.Analysis.mfpt_upper;
-                       Printf.printf "t\thit_min\thit_max\n";
-                       Array.iteri
-                         (fun j t ->
-                           Printf.printf "%.3f\t%.5f\t%.5f\n" t
-                             fp.Analysis.hit_lower.(j) fp.Analysis.hit_upper.(j))
-                         fp.Analysis.times;
-                       if metrics then
-                         print_cert "analysis.first_passage" fp.Analysis.cert;
-                       Ok ()
-                   | (`Transient | `Stationary) as mode ->
-                       let* th = theta_of m theta in
-                       let spec = spec_of Ctmc.Engine.Imprecise in
-                       let space = Ctmc.Engine.space spec in
-                       let rewards =
-                         Array.mapi (fun c _ -> Ctmc.Engine.Coord c) names
-                       in
-                       (match mode with
-                       | `Transient ->
-                           let tr =
-                             Ctmc.Engine.transient ~theta:th ~space spec
-                               ~rewards
-                           in
-                           Printf.printf "# states=%d\n" tr.Ctmc.Engine.states;
-                           Printf.printf "t\t%s\tescaped\n"
-                             (String.concat "\t" (Array.to_list names));
-                           Array.iteri
-                             (fun j t ->
-                               Printf.printf "%.3f" t;
-                               Array.iteri
-                                 (fun c _ ->
-                                   Printf.printf "\t%.5f" tr.value.(j).(c))
-                                 names;
-                               Printf.printf "\t%.3g" tr.lost.(j);
-                               print_newline ())
-                             tr.times;
-                           if metrics then begin
-                             let nt = Array.length tr.Ctmc.Engine.certs in
-                             if nt > 0 then
-                               Array.iteri
-                                 (fun c name ->
-                                   print_cert ("ctmc.transient." ^ name)
-                                     tr.Ctmc.Engine.certs.(nt - 1).(c))
-                                 names
-                           end
-                       | `Stationary ->
-                           let st =
-                             Ctmc.Engine.stationary ~theta:th ~space spec
-                               ~rewards
-                           in
-                           Printf.printf "# states=%d\n" st.Ctmc.Engine.states;
-                           Printf.printf "var\tmean\n";
-                           Array.iteri
-                             (fun c name ->
-                               Printf.printf "%s\t%.5f\n" name st.values.(c))
-                             names;
-                           if metrics then
-                             Array.iteri
-                               (fun c name ->
-                                 print_cert ("ctmc.stationary." ^ name)
-                                   st.Ctmc.Engine.certs.(c))
-                               names);
-                       Ok ()))
-         with
-         | Failure msg -> Error (`Msg msg)
-         | Invalid_argument msg -> Error (`Msg msg))
+         let times = Some (Vec.linspace 0. horizon points) in
+         let coord what =
+           match var with
+           | Some v -> var_index m v
+           | None -> Error (`Msg (what ^ " needs --var"))
+         in
+         let ctmc mode =
+           Codec.Ctmc { mode; n; epsilon; truncation; max_states; times }
+         in
+         let* scenario, op =
+           match mode with
+           | `Envelope ->
+               let* coord = coord "bounds" in
+               let* scenario =
+                 match scenario with
+                 | "imprecise" -> Ok Analysis.Imprecise
+                 | "uncertain" -> Ok (Analysis.Uncertain grid)
+                 | s -> Error (`Msg (Printf.sprintf "unknown scenario %s" s))
+               in
+               Ok (scenario, ctmc (`Envelope coord))
+           | `First_passage ->
+               let* coord = coord "first-passage" in
+               let* level, direction =
+                 match (above, below) with
+                 | Some a, None -> Ok (a, `Above)
+                 | None, Some b -> Ok (b, `Below)
+                 | _ ->
+                     Error
+                       (`Msg "first-passage needs exactly one of --above/--below")
+               in
+               let max_states = Some max_states in
+               Ok
+                 ( Analysis.Imprecise,
+                   Codec.First_passage
+                     { n; coord; level; direction; epsilon; max_states; times } )
+           | (`Transient | `Stationary) as mode -> (
+               match (List.assoc_opt theta_point Codec.theta_points, mode) with
+               | None, _ -> Error (`Msg ("unknown theta point " ^ theta_point))
+               | Some p, `Transient -> Ok (Analysis.Imprecise, ctmc (`Transient p))
+               | Some p, `Stationary -> Ok (Analysis.Imprecise, ctmc (`Stationary p)))
+         in
+         analyse ~jobs ~trace ~metrics m
+           { (request m op) with scenario; horizon = Some horizon })
   in
   Cmd.v (Cmd.info "ctmc" ~doc)
     Term.(
-      const run $ mode_arg $ model_arg $ n_arg $ var_arg $ theta_arg
+      const run $ mode_arg $ model_arg $ n_arg 100 $ var_arg $ theta_arg
       $ scenario_arg $ grid_arg $ horizon_arg 10. $ points_arg
       $ epsilon_arg $ above_arg $ below_arg $ max_states_arg $ truncation_arg
       $ jobs_arg $ trace_arg $ metrics_arg)

@@ -21,8 +21,9 @@ module Hull = Umf_diffinc.Hull
 module Pontryagin = Umf_diffinc.Pontryagin
 module Uncertain = Umf_diffinc.Uncertain
 module Birkhoff = Umf_diffinc.Birkhoff
+module Scenario = Umf_diffinc.Scenario
 
-type scenario = Imprecise | Uncertain of int
+type scenario = Imprecise | Uncertain of int | Piecewise of int
 
 type spec = {
   model : Model.t;
@@ -43,7 +44,11 @@ let spec ?(scenario = Imprecise) ?theta ?(horizon = 10.) ?(steps = 400)
   if dt <= 0. then invalid_arg "Analysis.spec: need dt > 0";
   (match scenario with
   | Uncertain g when g < 2 -> invalid_arg "Analysis.spec: need grid >= 2"
-  | Uncertain _ | Imprecise -> ());
+  | Piecewise k when k < 1 || k > 64 ->
+      (* a fixed cap keeps one search bounded: past the exhaustive
+         range its cost grows linearly in k *)
+      invalid_arg "Analysis.spec: need 1 <= pieces <= 64"
+  | Uncertain _ | Piecewise _ | Imprecise -> ());
   { model; scenario; theta; horizon; steps; dt; tol; pool; obs }
 
 let di_of_spec s =
@@ -130,6 +135,17 @@ let transient_bounds ?times s ~x0 ~coord =
               in
               Array.init (Array.length times) (fun i ->
                   (lower.(i).(coord), upper.(i).(coord)))
+          | Piecewise k ->
+              (* one extremal search per sample time: inner bounds of the
+                 k-piece adversary, no shared sweep to reuse *)
+              Array.map
+                (fun t ->
+                  if t <= 0. then (x0.(coord), x0.(coord))
+                  else
+                    Scenario.extremal_coord ?pool:s.pool ~obs ~steps:s.steps
+                      ~dt:s.dt (Scenario.Piecewise k) di ~x0 ~coord
+                      ~horizon:t)
+                times
         in
         let last = Array.length pairs - 1 in
         let lo, hi = pairs.(last) in
@@ -144,7 +160,7 @@ let transient_bounds ?times s ~x0 ~coord =
                  ~discretisation:
                    (match s.scenario with
                    | Imprecise -> s.horizon /. float_of_int s.steps
-                   | Uncertain _ -> s.dt)
+                   | Uncertain _ | Piecewise _ -> s.dt)
                  ~optimiser:s.tol ())
             (Interval.make (Float.min lo hi) (Float.max lo hi))
         in
@@ -160,11 +176,11 @@ let transient_bounds ?times s ~x0 ~coord =
     metrics;
   }
 
-let hull_bounds ?clip s ~x0 =
+let hull_bounds s ~x0 =
   fst
     (instrumented s "analysis.hull_bounds" (fun obs ->
-         Hull.bounds ?clip ~obs (di_of_spec s) ~x0 ~horizon:s.horizon
-           ~dt:s.dt))
+         Hull.bounds ~clip:(Model.clip s.model) ~obs (di_of_spec s) ~x0
+           ~horizon:s.horizon ~dt:s.dt))
 
 type region = {
   birkhoff : Birkhoff.result;

@@ -16,6 +16,9 @@ type scenario =
   | Uncertain of int
       (** θ constant but unknown; the payload is the per-axis grid
           resolution used to sweep Θ. *)
+  | Piecewise of int
+      (** θ switches between [k] constant values at evenly spaced
+          times — between [Uncertain] (k = 1) and [Imprecise]. *)
 
 type spec = {
   model : Umf_meanfield.Model.t;
@@ -52,8 +55,9 @@ val spec :
   Umf_meanfield.Model.t ->
   spec
 (** Smart constructor with the defaults above.
-    @raise Invalid_argument on non-positive horizon/steps/dt or an
-    [Uncertain] grid below 2. *)
+    @raise Invalid_argument on non-positive horizon/steps/dt, an
+    [Uncertain] grid below 2 or a [Piecewise] count outside
+    [1, 64]. *)
 
 val di_of_spec : spec -> Umf_diffinc.Di.t
 (** The mean-field differential inclusion the spec denotes (with the
@@ -99,14 +103,13 @@ val transient_bounds :
     ([times] defaults to 11 points on [0, horizon]).  Imprecise uses
     the Pontryagin solver on the mean-field differential inclusion;
     [Uncertain g] sweeps constant parameters on a [g]-per-axis
-    grid.  Both fan out over [spec.pool] when present. *)
+    grid; [Piecewise k] searches the k-piece adversary on a 5-per-axis
+    grid at every sample time (inner bounds).  All fan out over
+    [spec.pool] when present. *)
 
-val hull_bounds :
-  ?clip:Umf_numerics.Optim.Box.t ->
-  spec ->
-  x0:Umf_numerics.Vec.t ->
-  Umf_diffinc.Hull.traj
-(** The differential-hull over-approximation (fast, conservative). *)
+val hull_bounds : spec -> x0:Umf_numerics.Vec.t -> Umf_diffinc.Hull.traj
+(** The differential-hull over-approximation (fast, conservative),
+    clipped to the model's state box ({!Umf_meanfield.Model.clip}). *)
 
 type region = {
   birkhoff : Umf_diffinc.Birkhoff.result;

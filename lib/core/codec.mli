@@ -1,17 +1,18 @@
-(** NDJSON request/response codec over {!Analysis.spec}.
+(** NDJSON request/response codec over {!Analysis.spec}: the one op
+    layer both front ends call.
 
-    The wire protocol of the [umf_serve] daemon: one JSON object per
-    line in both directions.  This module owns everything about the
-    protocol that is independent of scheduling — parsing request
-    lines, content-fingerprinting a (spec, op) pair for the compiled
-    result cache, evaluating an op against a spec, and rendering
-    responses — so the daemon itself is pure orchestration and the
-    protocol can be tested without a running server.
+    [umf_serve] parses request lines, fingerprints, evaluates and
+    renders JSON responses through this module; [umf_cli] builds the
+    same {!request} from its flags, runs {!spec_of_request} and one
+    {!eval}, and prints the answer with {!render}.  Everything about
+    an analysis that is independent of scheduling and transport lives
+    here, so it can be tested without a running server.
 
     {b Request schema} (fields beyond these are ignored):
     {v
 {"op":"bounds","model":"sir","coord":1,
- "scenario":{"uncertain":5},          // default "imprecise"
+ "scenario":{"uncertain":5},          // "imprecise" (default),
+                                      // {"uncertain":GRID}, {"piecewise":K}
  "theta":[[0.5,1.5],[0.3,0.7]],       // default: the model's box
  "horizon":10,"steps":400,"dt":0.01,"tol":1e-4,   // spec defaults
  "x0":[0.9,0.1],"times":[0,1,2],      // op-specific, optional
@@ -19,10 +20,45 @@
  "deadline_ms":5000,                  // optional per-request deadline
  "cache":true}                        // default true
     v}
-    Ops: ["bounds"] (coord, x0?, times?), ["hull"] (x0?), ["steady"]
-    (x_start?), ["first_passage"] (n, coord, level, epsilon?,
-    max_states?, times?), plus the service ops ["ping"], ["metrics"],
-    ["models"] which take no model.
+    Analysis ops, one example each (op fields; defaults in brackets):
+    {v
+{"op":"bounds","model":"sir","coord":1,"scenario":{"piecewise":2}}
+    coord [0], x0?, times? [11 points on 0..horizon]
+{"op":"hull","model":"sir3","horizon":2}
+    x0?; clipped to the model's state box
+{"op":"steady","model":"sir","x_start":[0.7,0.3]}
+    x_start? [all 0.5]; 2-variable models only
+{"op":"first_passage","model":"sir","n":50,"coord":1,"level":0.05,
+ "direction":"below"}
+    n, coord, level, direction ["above"], epsilon? [1e-3],
+    max_states? [20000], times? [101 points]
+{"op":"simulate","model":"sir","n":1000,"points":50,"policy":"theta1"}
+    n, points [50], policy ["mid"; also "lo", "hi" or a model policy],
+    reps [1; > 1 reports final states and ignores points], seed [1]
+{"op":"ctmc","mode":"envelope","model":"sir","n":100,"coord":1,
+ "scenario":{"uncertain":3},"epsilon":1e-3}
+    mode ("transient" | "stationary" | "envelope"), n,
+    coord [0] (envelope), theta_point ["mid"; "lo", "hi"] (transient,
+    stationary), epsilon? (split evenly between mass tolerance and
+    sweep budget; default 1e-12 mass, fixed grid), truncation
+    ["exact"; "adaptive"], max_states [2000000], times? (transient,
+    envelope)
+    v}
+    plus the service ops ["ping"], ["metrics"], ["models"] which take
+    no model.  A [{"piecewise":K}] scenario takes 1 <= K <= 64; op
+    fields an op does not use leave its {!fingerprint} unchanged.
+
+    [umf_cli] subcommands and the request each one sends:
+    {v
+bounds --scenario S        bounds, scenario S (uncertain = {"uncertain":5})
+hull --dt DT               hull, "dt":DT
+steady                     steady, "x_start": the model's x0
+simulate                   simulate
+ctmc transient|stationary  ctmc, "mode":"transient"|"stationary"
+ctmc bounds --grid G       ctmc, "mode":"envelope", {"uncertain":G} unless
+                           --scenario imprecise
+ctmc first-passage         first_passage, "direction" from --above/--below
+    v}
 
     {b Response schema}: [{"id":…,"ok":true,"cached":…,"wall_ms":…,
     "queue_wait_ms":…,"result":{…},"cert":{…}}] on success, and
@@ -35,11 +71,17 @@
 exception Bad_request of string
 (** Raised by parsers, {!spec_of_request} and {!eval} on malformed or
     semantically invalid requests (unknown model, coord out of range,
-    non-positive horizon, …).  The daemon maps it to a ["bad_request"]
-    error response. *)
+    non-positive horizon, an over-budget exact lattice, …).  The
+    daemon maps it to a ["bad_request"] error response. *)
+
+type theta_point = [ `Mid | `Lo | `Hi ]  (** A point of the effective θ-box. *)
+
+val theta_points : (string * theta_point) list  (** Wire names. *)
 
 (** An analysis operation with its op-specific parameters ([None]s
-    take the {!Analysis} defaults). *)
+    take the {!Analysis} defaults).  An op holds only what its answer
+    depends on, so two requests computing the same answer carry equal
+    ops and share a {!fingerprint}. *)
 type op =
   | Bounds of {
       x0 : Umf_numerics.Vec.t option;
@@ -51,10 +93,34 @@ type op =
   | First_passage of {
       n : int;
       coord : int;
-      level : float;  (** Target set: states with [x.(coord) >= level]. *)
+      level : float;
+      direction : [ `Above | `Below ];
+          (** Target set: states with [x.(coord) >= level] ([`Above])
+              or [<= level] ([`Below]). *)
       epsilon : float option;
       max_states : int option;
       times : float array option;
+    }
+  | Simulate of {
+      n : int;
+      policy : string;  (** ["mid"], ["lo"], ["hi"] or a model policy. *)
+      seed : int;
+      sample : [ `Trajectory of int | `Finals of int ];
+          (** One run sampled at [points] times on (0, horizon], or the
+              final states of [reps] seeded runs. *)
+    }
+  | Ctmc of {
+      mode :
+        [ `Transient of theta_point
+        | `Stationary of theta_point
+        | `Envelope of int ];
+          (** Every variable's expectation at one θ point, or the
+              envelope of variable [coord]'s over the θ-box. *)
+      n : int;
+      epsilon : float option;
+      truncation : [ `Exact | `Adaptive ];
+      max_states : int;
+      times : float array option;  (** Unused by stationary. *)
     }
 
 type request = {
@@ -114,9 +180,24 @@ val eval : Analysis.spec -> op -> Umf_obs.Obs.Json.t * Umf_numerics.Cert.t
 (** Run one op under a spec: the result payload and its certificate
     (the result's own ledger where the analysis produces one; a
     synthesised one — per-coordinate {!Umf_numerics.Cert.join} for
-    hulls, optimiser-tolerance widening for steady-state areas —
-    otherwise).  @raise Bad_request on op/spec mismatches (coord or
-    x0 dimension out of range). *)
+    hulls and finite-N expectations, optimiser-tolerance widening for
+    steady-state areas, a vacuous one for simulations, which certify
+    nothing — otherwise).  Payloads carry what the text rendering prints, never
+    lattice-sized vectors.  @raise Bad_request on op/spec mismatches
+    (coord or x0 dimension out of range) and on solver [Failure]s of
+    the finite-N ops (an exact lattice over [max_states]). *)
+
+val render :
+  Analysis.spec ->
+  op ->
+  Umf_obs.Obs.Json.t ->
+  Umf_obs.Obs.Json.t ->
+  string * string
+(** [render spec op result cert] is the text [umf_cli] prints for an
+    {!eval} answer given as JSON ([cert] in the {!json_of_cert} form):
+    the stdout table, and the ["# cert"] ledger lines printed to stderr
+    under [--metrics].  A served [result]/[cert] pair renders to the
+    same bytes as the in-process one. *)
 
 val json_of_cert : Umf_numerics.Cert.t -> Umf_obs.Obs.Json.t
 (** [{"lo":…,"hi":…,"vacuous":…,"budget":{…}}] with all four budget

@@ -109,8 +109,8 @@ module Registry = Umf_models.Registry
     directly.) *)
 module Analysis = Analysis
 
-(** NDJSON request/response codec over {!Analysis.spec} — the wire
-    protocol of the [umf_serve] daemon (request parsing, content
-    fingerprints for the compiled-result cache, op evaluation,
-    response rendering). *)
+(** The op layer both binaries call, over {!Analysis.spec}: the
+    [umf_serve] wire protocol (request parsing, content fingerprints
+    for the result cache, op evaluation, responses) and the text
+    rendering of [umf_cli]. *)
 module Codec = Codec

@@ -1,21 +1,9 @@
 open Umf_numerics
 module Obs = Umf_obs.Obs
 
-exception Truncated of { epsilon : float; mass : float; terms : int }
-
 type certificate = { escaped : float; tail : float }
 
 let no_certificate = { escaped = 0.; tail = 0. }
-
-let () =
-  Printexc.register_printer (function
-    | Truncated { epsilon; mass; terms } ->
-        Some
-          (Printf.sprintf
-             "Transient.Truncated: uniformisation capped at %d terms with \
-              Poisson mass %.17g < 1 - %g"
-             terms mass epsilon)
-    | _ -> None)
 
 let check_distribution g p0 =
   if Vec.dim p0 <> Generator.n_states g then
@@ -29,10 +17,6 @@ let check_distribution g p0 =
 let check_epsilon epsilon =
   if not (epsilon > 0. && epsilon < 1.) then
     invalid_arg "Transient: epsilon must be in (0, 1)"
-
-let check_max_terms = function
-  | Some m when m < 1 -> invalid_arg "Transient: max_terms < 1"
-  | _ -> ()
 
 (* Fox–Glynn-style right truncation point: the smallest K >= λt with
    the Chernoff tail bound P(Pois(λt) >= K) <= exp(K - λt - K ln(K/λt))
@@ -63,22 +47,15 @@ let poisson_cap ~lt ~epsilon =
     !hi
   end
 
-(* Shared uniformisation sweep.  [strict] restores the historical
-   contract (a user [max_terms] cap that cuts the sweep short raises
-   {!Truncated}); the certified entry points run with [strict = false]
-   and fold every deficit into the returned certificate instead.  With
-   [leak] the operator is substochastic: [m] tracks the retained mass
-   of v_k (each step's escaped mass is returned by the kernel through a
-   fixed block-ordered reduction), and [escaped] accumulates
-   Σ_k w_k (m_0 − m_k) — the probability that the chain had already
-   left the retained space by the Poisson-mixed time.  Without [leak]
-   every loss is exactly 0. and the arithmetic — including the
-   certificate — is bit-identical to the historical exact sweep. *)
-let uni_sweep ?pool ?(obs = Obs.off) ~epsilon ?max_terms ~strict ?leak g ~p0 ~t
-    =
+(* The uniformisation sweep.  With [leak] the operator is
+   substochastic: [m] tracks the retained mass of v_k (each step's
+   escaped mass is returned by the kernel through a fixed block-ordered
+   reduction), and [escaped] accumulates Σ_k w_k (m_0 − m_k) — the
+   probability that the chain had already left the retained space by
+   the Poisson-mixed time.  Without [leak] every loss is exactly 0. *)
+let uniformization ?pool ?(obs = Obs.off) ?(epsilon = 1e-12) ?leak g ~p0 ~t =
   check_distribution g p0;
   check_epsilon epsilon;
-  check_max_terms max_terms;
   if t < 0. then invalid_arg "Transient.uniformization: t < 0";
   if t = 0. then (Vec.copy p0, no_certificate)
   else begin
@@ -86,10 +63,7 @@ let uni_sweep ?pool ?(obs = Obs.off) ~epsilon ?max_terms ~strict ?leak g ~p0 ~t
     let op = Sparse.forward ?leak g in
     let lambda = Sparse.rate op in
     let lt = lambda *. t in
-    let cap = poisson_cap ~lt ~epsilon in
-    let limit =
-      match max_terms with Some m -> Stdlib.min (m - 1) cap | None -> cap
-    in
+    let limit = poisson_cap ~lt ~epsilon in
     let target = 1. -. epsilon in
     let result = Vec.zeros (Vec.dim p0) in
     let v = ref (Vec.copy p0) and w = ref (Vec.zeros (Vec.dim p0)) in
@@ -128,14 +102,7 @@ let uni_sweep ?pool ?(obs = Obs.off) ~epsilon ?max_terms ~strict ?leak g ~p0 ~t
     done;
     (* never renormalise a miss away: either the measured mass met the
        target, or the analytic cap certifies the tail is below epsilon;
-       under [strict] a user-supplied cap that cut the sweep short
-       raises, otherwise the deficit lands in the certificate's tail *)
-    if strict && !mass < target then begin
-      match max_terms with
-      | Some m when !k + 1 >= m && !k < cap ->
-          raise (Truncated { epsilon; mass = !mass; terms = !k + 1 })
-      | _ -> ()
-    end;
+       the deficit lands in the certificate's tail *)
     let terms = !k + 1 in
     let tail = Float.max 0. (m0 -. !mass) in
     if Obs.enabled obs then begin
@@ -161,30 +128,16 @@ let uni_sweep ?pool ?(obs = Obs.off) ~epsilon ?max_terms ~strict ?leak g ~p0 ~t
     (result, { escaped = !escaped; tail })
   end
 
-let uniformization ?pool ?obs ?(epsilon = 1e-12) ?max_terms g ~p0 ~t =
-  fst (uni_sweep ?pool ?obs ~epsilon ?max_terms ~strict:true g ~p0 ~t)
-
-let uniformization_certified ?pool ?obs ?(epsilon = 1e-12) ?max_terms ?leak g
-    ~p0 ~t =
-  uni_sweep ?pool ?obs ~epsilon ?max_terms ~strict:false ?leak g ~p0 ~t
-
-let expectation ?pool ?obs ?epsilon ?max_terms g ~p0 ~t h =
-  let p = uniformization ?pool ?obs ?epsilon ?max_terms g ~p0 ~t in
-  let acc = ref 0. in
-  Array.iteri (fun i pi -> acc := !acc +. (pi *. h i)) p;
-  !acc
-
-(* Shared expectation-series sweep; [strict]/[leak] as in uni_sweep.
-   Per time point j the certificate is
+(* One uniformisation sweep serving every time point; [leak] as in
+   [uniformization].  Per time point j the certificate is
    escaped_j = Σ_{k∈S_j} w_jk (m_0 − m_k)   (terms actually retained)
    tail_j    = max 0 (m_0 − Σ_{k∈S_j} w_jk)  (Poisson-weight deficit)
    so 1 − (retained reward mass) ≤ escaped_j + tail_j whichever terms
    the per-time mass target kept. *)
-let series_sweep ?pool ?(obs = Obs.off) ~epsilon ?max_terms ~strict ?leak g
-    ~p0 ~times rewards =
+let expectation_series ?pool ?(obs = Obs.off) ?(epsilon = 1e-12) ?leak g ~p0
+    ~times rewards =
   check_distribution g p0;
   check_epsilon epsilon;
-  check_max_terms max_terms;
   let nt = Array.length times and nr = Array.length rewards in
   if nt = 0 then invalid_arg "Transient.expectation_series: no times";
   if nr = 0 then invalid_arg "Transient.expectation_series: no rewards";
@@ -215,10 +168,7 @@ let series_sweep ?pool ?(obs = Obs.off) ~epsilon ?max_terms ~strict ?leak g
   if tmax > 0. then begin
     let op = Sparse.forward ?leak g in
     let lambda = Sparse.rate op in
-    let cap = poisson_cap ~lt:(lambda *. tmax) ~epsilon in
-    let limit =
-      match max_terms with Some m -> Stdlib.min (m - 1) cap | None -> cap
-    in
+    let limit = poisson_cap ~lt:(lambda *. tmax) ~epsilon in
     window := limit;
     let target = 1. -. epsilon in
     (* all horizons share one v_k sweep: the expectation is linear in
@@ -273,19 +223,6 @@ let series_sweep ?pool ?(obs = Obs.off) ~epsilon ?max_terms ~strict ?leak g
       end
     done;
     terms := !k + 1;
-    if strict && !pending > 0 then begin
-      (* some horizon missed its mass target: certified by the cap
-         unless a user cap cut the sweep short *)
-      match max_terms with
-      | Some m when !k + 1 >= m && !k < cap ->
-          let worst = ref 1. in
-          Array.iteri
-            (fun j t ->
-              if t > 0. && mass.(j) < !worst then worst := mass.(j))
-            times;
-          raise (Truncated { epsilon; mass = !worst; terms = !k + 1 })
-      | _ -> ()
-    end;
     if Obs.enabled obs then begin
       Obs.add obs "ctmc.spmv_flops"
         (2.
@@ -314,14 +251,3 @@ let series_sweep ?pool ?(obs = Obs.off) ~epsilon ?max_terms ~strict ?leak g
   end
   else Obs.span_end obs sp;
   (out, certs)
-
-let expectation_series ?pool ?obs ?(epsilon = 1e-12) ?max_terms g ~p0 ~times
-    rewards =
-  fst
-    (series_sweep ?pool ?obs ~epsilon ?max_terms ~strict:true g ~p0 ~times
-       rewards)
-
-let expectation_series_certified ?pool ?obs ?(epsilon = 1e-12) ?max_terms ?leak
-    g ~p0 ~times rewards =
-  series_sweep ?pool ?obs ~epsilon ?max_terms ~strict:false ?leak g ~p0 ~times
-    rewards

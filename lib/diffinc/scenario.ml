@@ -1,4 +1,5 @@
 open Umf_numerics
+module Obs = Umf_obs.Obs
 
 type t =
   | Uncertain
@@ -18,7 +19,20 @@ let integrate_piecewise di ~dt ~x0 ~horizon pieces =
   in
   Ode.Traj.last (Di.integrate_control di ~control ~x0 ~horizon ~dt)
 
-let piecewise_extremum ~grid ~dt di ~x0 ~coord ~horizon ~k sense =
+(* coordinate ascent [refine] from three constant controls — the box
+   midpoint and its two corners over all [slots] — keeping the best *)
+let best_of_starts ~better di ~slots refine =
+  let box = di.Di.theta in
+  let run c = refine (Array.init slots (fun _ -> Vec.copy c)) in
+  List.fold_left
+    (fun b c ->
+      let v = run c in
+      if better v b then v else b)
+    (run (Optim.Box.midpoint box))
+    [ box.Optim.Box.lo; box.Optim.Box.hi ]
+
+let piecewise_extremum ?(obs = Obs.off) ~grid ~dt di ~x0 ~coord ~horizon ~k
+    sense =
   let better a b = match sense with `Max -> a > b | `Min -> a < b in
   let axis_values =
     (* per θ-axis candidate values *)
@@ -29,13 +43,17 @@ let piecewise_extremum ~grid ~dt di ~x0 ~coord ~horizon ~k sense =
   in
   let m = Optim.Box.dim di.Di.theta in
   let value pieces =
+    (* one integration per candidate: the search's cancellation point *)
+    Obs.checkpoint obs;
     (integrate_piecewise di ~dt ~x0 ~horizon pieces).(coord)
   in
-  (* number of exhaustive combinations: (grid^m)^k *)
+  (* number of exhaustive combinations: (grid^m)^k, in floats so a
+     large k cannot overflow into a small count *)
   let combos_per_piece =
-    Array.fold_left (fun acc vs -> acc * Array.length vs) 1 axis_values
+    Array.fold_left (fun acc vs -> acc *. float_of_int (Array.length vs)) 1.
+      axis_values
   in
-  let total = int_of_float (float_of_int combos_per_piece ** float_of_int k) in
+  let total = combos_per_piece ** float_of_int k in
   let enumerate_piece_values () =
     (* all θ vectors on the grid *)
     let rec build i acc =
@@ -47,7 +65,7 @@ let piecewise_extremum ~grid ~dt di ~x0 ~coord ~horizon ~k sense =
     Array.of_list (build 0 [])
   in
   let piece_values = enumerate_piece_values () in
-  if total <= 4096 then begin
+  if total <= 4096. then begin
     (* exhaustive search over all piecewise grid controls *)
     let best = ref None in
     let rec go i pieces =
@@ -65,13 +83,6 @@ let piecewise_extremum ~grid ~dt di ~x0 ~coord ~horizon ~k sense =
   end
   else begin
     (* coordinate-ascent over pieces from several starts *)
-    let starts =
-      [
-        Array.init k (fun _ -> Optim.Box.midpoint di.Di.theta);
-        Array.init k (fun _ -> Vec.copy di.Di.theta.Optim.Box.lo);
-        Array.init k (fun _ -> Vec.copy di.Di.theta.Optim.Box.hi);
-      ]
-    in
     let refine pieces =
       let pieces = Array.map Vec.copy pieces in
       let current = ref (value pieces) in
@@ -96,14 +107,7 @@ let piecewise_extremum ~grid ~dt di ~x0 ~coord ~horizon ~k sense =
       done;
       !current
     in
-    List.fold_left
-      (fun acc s ->
-        let v = refine s in
-        match acc with
-        | Some b when not (better v b) -> acc
-        | _ -> Some v)
-      None starts
-    |> function Some v -> v | None -> x0.(coord)
+    best_of_starts ~better di ~slots:k refine
   end
 
 (* piecewise-linear control through knot values; knots every
@@ -164,19 +168,7 @@ let rate_limited_extremum ~grid ~dt di ~x0 ~coord ~horizon ~rate sense =
     done;
     !current
   in
-  let starts =
-    [
-      Array.init n_knots (fun _ -> Optim.Box.midpoint di.Di.theta);
-      Array.init n_knots (fun _ -> Vec.copy di.Di.theta.Optim.Box.lo);
-      Array.init n_knots (fun _ -> Vec.copy di.Di.theta.Optim.Box.hi);
-    ]
-  in
-  List.fold_left
-    (fun acc s ->
-      let v = refine s in
-      match acc with Some b when not (better v b) -> acc | _ -> Some v)
-    None starts
-  |> function Some v -> v | None -> x0.(coord)
+  best_of_starts ~better di ~slots:n_knots refine
 
 let extremal_coord ?pool ?obs ?(grid = 5) ?steps ?(dt = 1e-2) scenario di ~x0
     ~coord ~horizon =
@@ -187,8 +179,8 @@ let extremal_coord ?pool ?obs ?(grid = 5) ?steps ?(dt = 1e-2) scenario di ~x0
       Uncertain.extremal_coord ?pool ?obs ~dt ~grid di ~x0 ~coord ~horizon
   | Piecewise k ->
       if k < 1 then invalid_arg "Scenario.extremal_coord: need k >= 1";
-      ( piecewise_extremum ~grid ~dt di ~x0 ~coord ~horizon ~k `Min,
-        piecewise_extremum ~grid ~dt di ~x0 ~coord ~horizon ~k `Max )
+      ( piecewise_extremum ?obs ~grid ~dt di ~x0 ~coord ~horizon ~k `Min,
+        piecewise_extremum ?obs ~grid ~dt di ~x0 ~coord ~horizon ~k `Max )
   | Deterministic control ->
       let final =
         if horizon <= 0. then Vec.copy x0

@@ -52,5 +52,6 @@ val extremal_coord :
     otherwise, so its result is a certified {e lower} bound on the true
     envelope width (any returned value is attained by an admissible
     control).  [obs] is threaded into the underlying Uncertain sweep or
-    Pontryagin solves (the Piecewise/RateLimited searches are not yet
-    individually instrumented). *)
+    Pontryagin solves; the Piecewise search reads its clock once per
+    candidate control, so a deadline clock can cancel it (the
+    RateLimited search is not yet instrumented). *)

@@ -134,7 +134,7 @@ val truncated_generator :
     transitions out of the retained set, accumulated in class order
     (index-owned per state, so bit-identical for any pool partition).
     Feed it to {!Umf_ctmc.Sparse.forward}'s [?leak] /
-    {!Umf_ctmc.Transient.uniformization_certified} to get transient
+    {!Umf_ctmc.Transient.uniformization} to get transient
     answers with certified escaped-mass bounds.  On a non-truncated
     space the leak vector is all zeros and a missing target still
     raises [Failure] (missed support is a bug, not truncation). *)

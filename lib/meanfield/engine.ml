@@ -90,8 +90,6 @@ let space s =
     ~clip:(Model.clip s.model) ~max_states ~truncation pop ~n:s.n
     ~x0:(Model.x0 s.model)
 
-let space_of ?space:sp s = match sp with Some sp -> sp | None -> space s
-
 let theta_point ?theta s =
   match theta with
   | None -> Optim.Box.midpoint (theta_box s)
@@ -136,7 +134,7 @@ let certified_series s sp ~theta ~times hs =
   let g, leak = generator_of s sp ~theta in
   let p0 = Ctmc_of_population.point_mass sp in
   let value, certificates =
-    Transient.expectation_series_certified ?pool:s.pool ~obs:s.obs
+    Transient.expectation_series ?pool:s.pool ~obs:s.obs
       ~epsilon:s.epsilon ?leak g ~p0 ~times hs
   in
   (value, Array.map lost certificates)
@@ -160,10 +158,10 @@ type transient = {
   certs : Cert.t array array;
 }
 
-let transient ?theta ?space s ~rewards =
+let transient ?theta s ~rewards =
   let nr = Array.length rewards in
   if nr = 0 then invalid_arg "Engine.transient: no rewards";
-  let sp = space_of ?space s in
+  let sp = space s in
   let theta = theta_point ?theta s in
   let resolved = Array.map (resolve_reward s sp) rewards in
   let hs = Array.map (fun (h, _, _) -> h) resolved in
@@ -228,8 +226,8 @@ let imprecise_sweep s ~sense im ~h ~times =
       Imprecise_ctmc.fixed_series ?pool:s.pool ~obs:s.obs ~steps_per_unit
         ~sense im ~h ~times
 
-let envelope ?space s ~reward =
-  let sp = space_of ?space s in
+let envelope s ~reward =
+  let sp = space s in
   let pop = Model.population s.model in
   let box = theta_box s in
   let h, rlo, rhi = resolve_reward s sp reward in
@@ -306,7 +304,7 @@ type stationary = {
   certs : Cert.t array;
 }
 
-let stationary ?theta ?space ?(tol = 1e-12) ?(max_iter = 1_000_000) s ~rewards
+let stationary ?theta ?(tol = 1e-12) ?(max_iter = 1_000_000) s ~rewards
     =
   (match s.truncation with
   | Adaptive _ ->
@@ -314,7 +312,7 @@ let stationary ?theta ?space ?(tol = 1e-12) ?(max_iter = 1_000_000) s ~rewards
         "Engine.stationary: needs Exact truncation (a substochastic \
          truncated chain has no stationary distribution)"
   | Exact _ -> ());
-  let sp = space_of ?space s in
+  let sp = space s in
   let theta = theta_point ?theta s in
   let pop = Model.population s.model in
   let g =
@@ -343,36 +341,4 @@ let stationary ?theta ?space ?(tol = 1e-12) ?(max_iter = 1_000_000) s ~rewards
     pi;
     values;
     certs;
-  }
-
-type distribution = {
-  n : int;
-  states : int;
-  theta : Vec.t;
-  p : Vec.t;
-  cert : Cert.t;
-}
-
-let distribution ?theta ?space s =
-  let sp = space_of ?space s in
-  let theta = theta_point ?theta s in
-  let g, leak = generator_of s sp ~theta in
-  let p0 = Ctmc_of_population.point_mass sp in
-  let p, certificate =
-    Transient.uniformization_certified ?pool:s.pool ~obs:s.obs
-      ~epsilon:s.epsilon ?leak g ~p0 ~t:s.horizon
-  in
-  let retained = Vec.sum p in
-  let l = lost certificate in
-  let cert =
-    Cert.of_interval
-      ~budget:(Cert.budget ~truncation:l ())
-      (Interval.make retained (retained +. l))
-  in
-  {
-    n = s.n;
-    states = Ctmc_of_population.n_states sp;
-    theta;
-    p;
-    cert;
   }

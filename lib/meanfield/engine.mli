@@ -3,17 +3,15 @@
     Declare the model, scenario, population size, horizon, tolerance
     and truncation policy once in a {!spec} (mirroring
     [Analysis.spec]), then ask for {!transient} expectations, scenario
-    {!envelope}s, the {!stationary} distribution or the raw
-    {!distribution}.
+    {!envelope}s or the {!stationary} distribution.
 
     Every result carries one {!Cert.t} ledger per reported quantity.
     Under [Adaptive] truncation the engine runs the substochastic
     operator of the retained lattice and prices the probability mass
-    that provably left it on the certificate's truncation line, instead
-    of raising [Transient.Truncated]: for any reward with range
-    [rlo, rhi] over the model's clip box the true value lies in
-    [value + lost·rlo, value + lost·rhi], where [lost] is the escaped
-    mass plus the uniformisation tail.  Under the default [Exact]
+    that provably left it on the certificate's truncation line: for any
+    reward with range [rlo, rhi] over the model's clip box the true
+    value lies in [value + lost·rlo, value + lost·rhi], where [lost] is
+    the escaped mass plus the uniformisation tail.  Under the default [Exact]
     truncation nothing escapes and [lost <= epsilon].
 
     All sweeps thread the spec's [pool] (bit-identical to sequential
@@ -87,11 +85,6 @@ val spec :
     [Uncertain] grid < 2, a θ-box dimension mismatch, or non-increasing
     [times]. *)
 
-val space : spec -> Ctmc_of_population.space
-(** Enumerate the spec's state space (shared by every entry point; pass
-    it back via [?space] to amortise enumeration across calls on the
-    same spec). *)
-
 type transient = {
   n : int;
   states : int;  (** Retained lattice size. *)
@@ -114,13 +107,12 @@ type transient = {
 
 val transient :
   ?theta:Vec.t ->
-  ?space:Ctmc_of_population.space ->
   spec ->
   rewards:reward array ->
   transient
 (** Certified transient expectations at a fixed θ (default: the θ-box
     midpoint) for every reward and query time, in one uniformisation
-    sweep.  Never raises [Transient.Truncated].
+    sweep.
     @raise Invalid_argument on an empty reward array, a reward
     coordinate out of range, or a θ dimension mismatch.
     @raise Failure from enumeration/assembly under [Exact] truncation
@@ -148,8 +140,7 @@ type envelope = {
           [Uncertain]) — what the adaptive stepper is saving. *)
 }
 
-val envelope :
-  ?space:Ctmc_of_population.space -> spec -> reward:reward -> envelope
+val envelope : spec -> reward:reward -> envelope
 (** Scenario bounds around the finite-N mean trajectory of one reward.
     [Uncertain g]: lower/upper envelope the certified values
     [value + lost·rlo, value + lost·rhi] over the θ sample grid.
@@ -175,7 +166,6 @@ type stationary = {
 
 val stationary :
   ?theta:Vec.t ->
-  ?space:Ctmc_of_population.space ->
   ?tol:float ->
   ?max_iter:int ->
   spec ->
@@ -187,18 +177,3 @@ val stationary :
     @raise Invalid_argument under [Adaptive] truncation.
     @raise Failure if the iteration does not converge. *)
 
-type distribution = {
-  n : int;
-  states : int;
-  theta : Vec.t;
-  p : Vec.t;
-      (** Sub-distribution over the retained lattice at [horizon] (its
-          mass deficit is bounded by [cert]). *)
-  cert : Cert.t;
-      (** Certified total retained mass: [Σp, Σp + lost] with the lost
-          mass on the truncation line. *)
-}
-
-val distribution :
-  ?theta:Vec.t -> ?space:Ctmc_of_population.space -> spec -> distribution
-(** The full transient (sub-)distribution at the spec's horizon. *)

@@ -5,8 +5,11 @@ module Obs = Umf_obs.Obs
 
 (* Core Gillespie loop.  [on_hold t0 t1 x] is invoked for every maximal
    interval on which the density state is the constant [x] (a copy);
-   the union of intervals is exactly [0, tmax]. *)
-let run model ~n ~x0 ~(policy : Policy.t) ~tmax ~rng ~on_hold =
+   the union of intervals is exactly [0, tmax].  The loop reads [obs]'s
+   clock at its start and every 4096 events, so a deadline clock can
+   cancel a long run. *)
+let run ?(obs = Obs.off) model ~n ~x0 ~(policy : Policy.t) ~tmax ~rng ~on_hold
+    =
   if n <= 0 then invalid_arg "Ssa: need n > 0";
   if tmax < 0. then invalid_arg "Ssa: negative horizon";
   if Vec.dim x0 <> Population.dim model then
@@ -20,6 +23,7 @@ let run model ~n ~x0 ~(policy : Policy.t) ~tmax ~rng ~on_hold =
   let density () = Vec.scale (1. /. nf) counts in
   let finished = ref false in
   while not !finished do
+    if !events land 4095 = 0 then Obs.checkpoint obs;
     let x = density () in
     let theta = Optim.Box.clamp model.Population.theta (inst.Policy.theta !t x) in
     let props = Population.propensities model ~n x theta in
@@ -67,7 +71,7 @@ let run model ~n ~x0 ~(policy : Policy.t) ~tmax ~rng ~on_hold =
 
 let final ?(obs = Obs.off) model ~n ~x0 ~policy ~tmax rng =
   let x, events =
-    run model ~n ~x0 ~policy ~tmax ~rng ~on_hold:(fun _ _ _ -> ())
+    run ~obs model ~n ~x0 ~policy ~tmax ~rng ~on_hold:(fun _ _ _ -> ())
   in
   if Obs.enabled obs then Obs.count obs "ssa.events" events;
   x
@@ -119,7 +123,7 @@ let sampled ?(obs = Obs.off) model ~n ~x0 ~policy ~times rng =
         incr next
       done
     in
-    let xf, events = run model ~n ~x0 ~policy ~tmax ~rng ~on_hold in
+    let xf, events = run ~obs model ~n ~x0 ~policy ~tmax ~rng ~on_hold in
     while !next < m do
       out.(!next) <- xf;
       incr next

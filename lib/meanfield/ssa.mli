@@ -21,7 +21,8 @@ val final :
   Vec.t
 (** Density state at [tmax].  [x0] is a density vector; the initial
     counts are [round (N x0)] component-wise.  [obs] receives the
-    number of transitions fired as the ["ssa.events"] counter.
+    number of transitions fired as the ["ssa.events"] counter, and its
+    clock is read every 4096 events (a deadline cancellation point).
     @raise Failure if a transition drives a count negative (a
     mis-specified model whose rate does not vanish at the
     boundary). *)
@@ -48,7 +49,8 @@ val sampled :
   Vec.t array
 (** Density states at the given increasing sample times (piecewise
     constant between events), without storing the full path.  [obs]
-    records an ["ssa.sampled"] span and the ["ssa.events"] counter. *)
+    records an ["ssa.sampled"] span and the ["ssa.events"] counter, and
+    its clock is read as in {!final}. *)
 
 val time_average :
   Population.t ->

@@ -162,6 +162,10 @@ val with_clock : t -> (unit -> float) -> t
 
 val enabled : t -> bool
 
+val checkpoint : t -> unit
+(** Reads the clock: a cancellation point (see {!with_clock}) for long
+    loops with no span boundary.  A no-op on {!off}. *)
+
 val null_span : span
 (** The span returned by {!span_begin} on {!off}; ending it is a
     no-op. *)

@@ -93,7 +93,7 @@ let () =
   let p0 = Ctmc_of_population.point_mass sp in
   let hit_mid t =
     if t <= 0. then 0.
-    else Ctmc.Transient.expectation g_mid ~p0 ~t (fun s -> ind.(s))
+    else Vec.dot (fst (Ctmc.Transient.uniformization g_mid ~p0 ~t)) ind
   in
   Array.iteri
     (fun j t ->

@@ -34,6 +34,15 @@ let test_hierarchy_monotone () =
     true
     (h1 <= h2 +. 1e-6 && h2 <= h4 +. 1e-3 && h4 <= hinf +. 1e-3)
 
+(* 2^64 controls: the exhaustive-search count must not overflow into a
+   small integer, or the search would try to enumerate all of them *)
+let test_piecewise_many_pieces () =
+  let _, hi =
+    Scenario.extremal_coord ~grid:2 ~dt:0.05 (Scenario.Piecewise 64) (clock ())
+      ~x0 ~coord:1 ~horizon:2.
+  in
+  Alcotest.(check (float 1e-2)) "64 pieces reach T^2/4" 1. hi
+
 let test_piecewise_1_equals_uncertain () =
   let di =
     Di.make ~dim:1
@@ -130,6 +139,8 @@ let suites =
         Alcotest.test_case "piecewise-2 optimal on clock" `Quick test_piecewise_2_achieves_optimum;
         Alcotest.test_case "hierarchy monotone" `Quick test_hierarchy_monotone;
         Alcotest.test_case "piecewise-1 = uncertain" `Quick test_piecewise_1_equals_uncertain;
+        Alcotest.test_case "piecewise-64: sweep search, no overflow" `Quick
+          test_piecewise_many_pieces;
         Alcotest.test_case "deterministic degenerate" `Quick test_deterministic_degenerate;
         Alcotest.test_case "rate-limited interpolates" `Slow test_rate_limited_interpolates;
         Alcotest.test_case "piecewise within imprecise (SIR)" `Slow test_piecewise_within_imprecise;

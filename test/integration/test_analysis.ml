@@ -64,10 +64,16 @@ let test_transient_bounds_scenarios_nested () =
     uncertain.Analysis.lower
 
 let test_hull_bounds_wrapper () =
-  let clip = Optim.Box.make [| 0.; 0. |] [| 1.; 1. |] in
   let s = Analysis.spec ~horizon:2. model in
-  let h = Analysis.hull_bounds ~clip s ~x0:Sir.x0 in
-  Alcotest.(check bool) "hull contains x0 at 0" true (Hull.contains h 0. Sir.x0)
+  let h = Analysis.hull_bounds s ~x0:Sir.x0 in
+  Alcotest.(check bool) "hull contains x0 at 0" true (Hull.contains h 0. Sir.x0);
+  (* always clipped to the model's state box *)
+  let clip = Model.clip model in
+  Array.iteri
+    (fun k lo ->
+      Alcotest.(check bool) "hull inside the clip box" true
+        (Vec.le clip.Optim.Box.lo lo && Vec.le h.Hull.upper.(k) clip.Optim.Box.hi))
+    h.Hull.lower
 
 let test_steady_state_region () =
   let s = Analysis.spec model in

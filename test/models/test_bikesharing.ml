@@ -42,7 +42,7 @@ let test_ictmc_bounds_bracket_constant_theta () =
     (fun (ta, tr) ->
       let g = Imprecise_ctmc.generator_at m [| ta; tr |] in
       let p0 = Array.init (capacity + 1) (fun i -> if i = x0 then 1. else 0.) in
-      let e = Transient.expectation g ~p0 ~t:horizon (fun s -> h.(s)) in
+      let e = Vec.dot (fst (Transient.uniformization g ~p0 ~t:horizon)) h in
       Alcotest.(check bool)
         (Printf.sprintf "theta (%g, %g) bracketed" ta tr)
         true
@@ -73,9 +73,9 @@ let test_meanfield_matches_ictmc_large_capacity () =
   let t_fluid = 0.5 in
   let p0 = Array.init (capacity + 1) (fun i -> if i = capacity / 2 then 1. else 0.) in
   let e =
-    Transient.expectation g ~p0
-      ~t:(t_fluid *. float_of_int capacity)
-      (fun s -> float_of_int s /. float_of_int capacity)
+    Vec.dot
+      (fst (Transient.uniformization g ~p0 ~t:(t_fluid *. float_of_int capacity)))
+      (Array.init (capacity + 1) (fun s -> float_of_int s /. float_of_int capacity))
   in
   let di = Bikesharing.di p in
   let fluid =

@@ -201,12 +201,183 @@ let test_pipe_transport () =
       | Json.Obj _ | Json.Arr _ -> ()
       | v -> fail "models result malformed: %s" (Json.to_string v))
 
+(* --- the ops umf_cli shares: warm hits, cache keys, errors ---------- *)
+
+let new_op_reqs =
+  [
+    "{\"op\":\"simulate\",\"model\":\"sir\",\"n\":50,\"horizon\":1,\"points\":4}";
+    "{\"op\":\"simulate\",\"model\":\"sir\",\"n\":50,\"horizon\":1,\"reps\":3,\
+     \"policy\":\"theta1\"}";
+    "{\"op\":\"ctmc\",\"mode\":\"transient\",\"model\":\"sir\",\"n\":8,\
+     \"horizon\":1,\"times\":[0,0.5,1]}";
+    "{\"op\":\"ctmc\",\"mode\":\"stationary\",\"model\":\"sis\",\"n\":10}";
+    "{\"op\":\"ctmc\",\"mode\":\"envelope\",\"model\":\"sir\",\"n\":8,\"coord\":1,\
+     \"scenario\":{\"uncertain\":2},\"horizon\":1,\"epsilon\":0.001}";
+    "{\"op\":\"first_passage\",\"model\":\"sir\",\"n\":6,\"coord\":1,\
+     \"level\":0.1,\"direction\":\"below\",\"epsilon\":0.1,\"horizon\":1,\
+     \"times\":[0,1]}";
+    "{\"op\":\"bounds\",\"model\":\"sir\",\"coord\":1,\"horizon\":1,\
+     \"scenario\":{\"piecewise\":2},\"times\":[0,1]}";
+  ]
+
+let test_new_ops_cache () =
+  with_server (fun t ->
+      List.iter
+        (fun req ->
+          let cold = List.hd (Serve.process t [ req ]) in
+          let warm = List.hd (Serve.process t [ req ]) in
+          if not (bool_member "ok" (parse cold)) then
+            fail "new op failed: %s -> %s" req cold;
+          if not (bool_member "cached" (parse warm)) then
+            fail "new op missed the cache: %s" req;
+          if payload cold <> payload warm then
+            fail "new op warm payload differs from cold:\n  %s\n  %s" cold warm)
+        new_op_reqs)
+
+let fingerprint line =
+  match Codec.of_line line with
+  | Ok (Codec.Analyze r) -> Codec.fingerprint (Codec.spec_of_request r) r.Codec.op
+  | _ -> fail "not an analysis request: %s" line
+
+(* every single-field change moves the cache key; spelling out a
+   default, or a field the op does not use, does not.  Requests are
+   (key, JSON value) lists; a variant replaces its key in the base
+   request or adds it. *)
+let test_fingerprints () =
+  let line fields =
+    "{"
+    ^ String.concat ","
+        (List.map (fun (k, v) -> Printf.sprintf "%S:%s" k v) fields)
+    ^ "}"
+  in
+  let fp base (k, v) =
+    fingerprint
+      (line
+         (if List.mem_assoc k base then
+            List.map (fun (k', v') -> (k', if k' = k then v else v')) base
+          else base @ [ (k, v) ]))
+  in
+  let family base variants same =
+    let fp0 = fingerprint (line base) in
+    let fps = List.map (fp base) variants in
+    List.iter2
+      (fun (k, v) f ->
+        if f = fp0 then fail "fingerprint ignores %s=%s in %s" k v (line base))
+      variants fps;
+    if List.length (List.sort_uniq compare fps) <> List.length fps then
+      fail "two variants of %s share a fingerprint" (line base);
+    List.iter
+      (fun (k, v) ->
+        if fp base (k, v) <> fp0 then
+          fail "%s=%s changes the fingerprint of %s but not its answer" k v
+            (line base))
+      same
+  in
+  let sir = ("model", "\"sir\"") in
+  family
+    [ ("op", "\"ctmc\""); ("mode", "\"transient\""); sir; ("n", "10") ]
+    [ ("n", "11"); ("mode", "\"stationary\""); ("theta_point", "\"lo\"");
+      ("truncation", "\"adaptive\""); ("max_states", "1000");
+      ("epsilon", "1e-3"); ("times", "[0,1]") ]
+    [ ("theta_point", "\"mid\""); ("truncation", "\"exact\"");
+      ("max_states", "2000000"); ("coord", "1") ];
+  family
+    [ ("op", "\"ctmc\""); ("mode", "\"stationary\""); sir; ("n", "10") ]
+    [ ("theta_point", "\"hi\"") ]
+    [ ("coord", "1"); ("times", "[0,1]") ];
+  family
+    [ ("op", "\"ctmc\""); ("mode", "\"envelope\""); sir; ("n", "10") ]
+    [ ("coord", "1"); ("times", "[0,1]") ]
+    [ ("coord", "0"); ("theta_point", "\"hi\"") ];
+  family
+    [ ("op", "\"simulate\""); sir; ("n", "50") ]
+    [ ("n", "51"); ("seed", "2"); ("reps", "2"); ("policy", "\"theta1\"");
+      ("points", "10") ]
+    [ ("seed", "1"); ("reps", "1"); ("policy", "\"mid\""); ("points", "50") ];
+  family
+    [ ("op", "\"simulate\""); sir; ("n", "50"); ("reps", "3") ]
+    [ ("reps", "4") ]
+    [ ("points", "10") ];
+  family
+    [ ("op", "\"bounds\""); sir; ("coord", "1");
+      ("scenario", "{\"piecewise\":2}") ]
+    [ ("scenario", "{\"piecewise\":3}"); ("scenario", "{\"uncertain\":2}") ]
+    [];
+  family
+    [ ("op", "\"first_passage\""); sir; ("n", "6"); ("coord", "1");
+      ("level", "0.4") ]
+    [ ("direction", "\"below\""); ("level", "0.5"); ("epsilon", "0.1") ]
+    [ ("direction", "\"above\"") ]
+
+(* an exact lattice over its budget is the caller's error, reported
+   with the engine's message *)
+let test_ctmc_overflow () =
+  with_server (fun t ->
+      let r =
+        List.hd
+          (Serve.process t
+             [ "{\"op\":\"ctmc\",\"mode\":\"transient\",\"model\":\"sir\",\
+                \"n\":50,\"max_states\":10}" ])
+      in
+      let err = member "error" (parse r) in
+      if str_member "kind" err <> "bad_request" then
+        fail "over-budget lattice is not a bad_request: %s" r;
+      if str_member "message" err
+         <> "Ctmc_of_population: state space exceeds max_states = 10"
+      then fail "over-budget lattice lost the engine's message: %s" r)
+
+(* a piecewise count past the cap is refused before any search, and a
+   long piecewise search or simulation unwinds at its deadline *)
+let test_long_requests () =
+  with_server (fun t ->
+      let answer req = parse (List.hd (Serve.process t [ req ])) in
+      let kind j = str_member "kind" (member "error" j) in
+      let t0 = Unix.gettimeofday () in
+      let j =
+        answer
+          "{\"op\":\"bounds\",\"model\":\"sir\",\"scenario\":{\"piecewise\":1000}}"
+      in
+      if bool_member "ok" j || kind j <> "bad_request" then
+        fail "piecewise 1000 is not a bad_request: %s" (Json.to_string j);
+      List.iter
+        (fun req ->
+          let j = answer req in
+          if bool_member "ok" j || kind j <> "deadline_exceeded" then
+            fail "expected deadline_exceeded for %s, got %s" req
+              (Json.to_string j))
+        [
+          "{\"op\":\"bounds\",\"model\":\"sir\",\"coord\":1,\
+           \"scenario\":{\"piecewise\":30},\"deadline_ms\":100}";
+          "{\"op\":\"simulate\",\"model\":\"sir\",\"n\":1000000000,\
+           \"horizon\":100,\"deadline_ms\":100}";
+          "{\"op\":\"simulate\",\"model\":\"sir\",\"n\":100,\
+           \"reps\":1000000,\"deadline_ms\":100}";
+        ];
+      (* each expired within a few deadlines, not after the full run *)
+      let took = Unix.gettimeofday () -. t0 in
+      if took > 5. then fail "long requests took %.1f s to answer" took)
+
+(* served hulls are clipped to the model box, so sir3 solves *)
+let test_sir3_hull () =
+  with_server (fun t ->
+      let r =
+        List.hd
+          (Serve.process t [ "{\"op\":\"hull\",\"model\":\"sir3\",\"horizon\":2}" ])
+      in
+      if not (bool_member "ok" (parse r)) then fail "sir3 hull failed: %s" r)
+
 let () =
   test_cache_identity ();
   test_batch_determinism ();
   test_deadline ();
   test_overload ();
   test_pipe_transport ();
+  test_new_ops_cache ();
+  test_fingerprints ();
+  test_ctmc_overflow ();
+  test_long_requests ();
+  test_sir3_hull ();
   print_endline
     "serve-smoke OK (cache identity, batch determinism, deadline, \
-     backpressure, pipe transport)"
+     backpressure, pipe transport, new-op warm hits, fingerprints, ctmc \
+     overflow, long-request cap and deadlines, sir3 hull)"
