@@ -1,8 +1,7 @@
 (* Ablations of the design choices called out in DESIGN.md:
    (a) Pontryagin arg-max by vertex enumeration vs grid+descent;
    (b) costate with analytic Jacobian vs finite differences;
-   (c) hull face optimisation at different refinement levels;
-   (d) Pontryagin relaxation factor. *)
+   (c) Pontryagin relaxation factor. *)
 open Umf
 
 let run () =
@@ -38,28 +37,4 @@ let run () =
   Printf.printf "relax=0.5 value %.5f, relax=1.0 value %.5f\n" v_r05 v_r10;
   Common.claim "under-relaxation never worse than full updates"
     (v_r05 >= v_r10 -. 1e-4)
-    (Printf.sprintf "%.5f vs %.5f" v_r05 v_r10);
-  (* hull refinement ablation: run at theta_max = 5 where the hull is
-     non-trivial (at 10 it saturates to [0,1] regardless of refinement) *)
-  let di5 = Sir.di { p with Sir.theta_max = 5. } in
-  let clip = Optim.Box.make [| 0.; 0. |] [| 1.; 1. |] in
-  Common.header [ "hull refine"; "final xI width"; "seconds" ];
-  let widths =
-    List.map
-      (fun refine ->
-        let (w : float), t =
-          Common.time_it (fun () ->
-              (Hull.final_width
-                 (Hull.bounds ~refine ~clip di5 ~x0:Sir.x0 ~horizon:4.
-                    ~dt:0.02)).(1))
-        in
-        Printf.printf "%d\t%.4f\t%.3f\n" refine w t;
-        w)
-      [ 0; 4; 16 ]
-  in
-  match widths with
-  | [ w0; _; w16 ] ->
-      Common.claim "hull width insensitive to refinement (multilinear drift)"
-        (Float.abs (w0 -. w16) < 5e-3)
-        (Printf.sprintf "%.4f vs %.4f" w0 w16)
-  | _ -> ()
+    (Printf.sprintf "%.5f vs %.5f" v_r05 v_r10)

@@ -39,9 +39,15 @@ type spec = {
 
 let spec ?(scenario = Imprecise) ?theta ?(horizon = 10.) ?(steps = 400)
     ?(dt = 1e-2) ?(tol = 1e-4) ?pool ?(obs = Obs.off) model =
-  if horizon <= 0. then invalid_arg "Analysis.spec: need horizon > 0";
+  (* written so that NaN fails too *)
+  let positive name x =
+    if not (x > 0. && x < infinity) then
+      invalid_arg (Printf.sprintf "Analysis.spec: need finite %s > 0" name)
+  in
+  positive "horizon" horizon;
   if steps < 1 then invalid_arg "Analysis.spec: need steps >= 1";
-  if dt <= 0. then invalid_arg "Analysis.spec: need dt > 0";
+  positive "dt" dt;
+  positive "tol" tol;
   (match scenario with
   | Uncertain g when g < 2 -> invalid_arg "Analysis.spec: need grid >= 2"
   | Piecewise k when k < 1 || k > 64 ->

@@ -55,9 +55,9 @@ val spec :
   Umf_meanfield.Model.t ->
   spec
 (** Smart constructor with the defaults above.
-    @raise Invalid_argument on non-positive horizon/steps/dt, an
-    [Uncertain] grid below 2 or a [Piecewise] count outside
-    [1, 64]. *)
+    @raise Invalid_argument unless horizon, dt and tol are finite and
+    positive (NaN is refused), on steps below 1, an [Uncertain] grid
+    below 2 or a [Piecewise] count outside [1, 64]. *)
 
 val di_of_spec : spec -> Umf_diffinc.Di.t
 (** The mean-field differential inclusion the spec denotes (with the

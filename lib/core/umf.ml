@@ -4,9 +4,7 @@ module Interval = Umf_numerics.Interval
 module Cert = Umf_numerics.Cert
 module Ode = Umf_numerics.Ode
 module Optim = Umf_numerics.Optim
-module Rootfind = Umf_numerics.Rootfind
 module Geometry = Umf_numerics.Geometry
-module Ode_stiff = Umf_numerics.Ode_stiff
 module Rng = Umf_numerics.Rng
 module Stats = Umf_numerics.Stats
 module Diff = Umf_numerics.Diff

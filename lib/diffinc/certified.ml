@@ -4,8 +4,6 @@ module Lint = Umf_lint.Lint
 
 exception Rejected of Lint.report
 
-let di = Di.of_model
-
 (* gate: refuse models the static analyzer rejects — both tiers, so a
    certain division-by-zero in the compiled tape (T002) blocks the
    solve exactly like a certifiably negative rate (L001) — and reuse
@@ -56,33 +54,16 @@ let pontryagin ?steps ?max_iter ?tol ?relax ?domain ?lint ?obs m ~x0 ~horizon
     ~sense obj =
   let report = gate ?domain ?lint m in
   let opt = opt_of ?domain report m in
-  Pontryagin.solve ?steps ?max_iter ?tol ?relax ~opt ~check:true ?obs (di m)
-    ~x0 ~horizon ~sense obj
+  Pontryagin.solve ?steps ?max_iter ?tol ?relax ~opt ~check:true ?obs
+    (Di.of_model m) ~x0 ~horizon ~sense obj
 
 let bound_series ?steps ?max_iter ?tol ?relax ?domain ?lint ?obs m ~x0 ~coord
     ~times =
   let report = gate ?domain ?lint m in
   let opt = opt_of ?domain report m in
   Pontryagin.bound_series ?steps ?max_iter ?tol ?relax ~opt ~check:true ?obs
-    (di m) ~x0 ~coord ~times
+    (Di.of_model m) ~x0 ~coord ~times
 
 let hull_bounds ?clip ?lint ?obs m ~x0 ~horizon ~dt =
   ignore (gate ?domain:clip ?lint m : Lint.report option);
-  let theta = Model.theta m in
-  let theta_ivs =
-    Array.mapi
-      (fun j lo -> Interval.make lo theta.Optim.Box.hi.(j))
-      theta.Optim.Box.lo
-  in
-  let face_extremum ~lo ~hi ~coord ~value sense =
-    let x =
-      Array.init (Vec.dim lo) (fun i ->
-          if i = coord then Interval.make value value
-          else Interval.make lo.(i) hi.(i))
-    in
-    let enclosure = (Model.drift_interval m ~x ~th:theta_ivs).(coord) in
-    match sense with
-    | `Min -> Interval.lo enclosure
-    | `Max -> Interval.hi enclosure
-  in
-  Hull.bounds ~check:true ?clip ~face_extremum ?obs (di m) ~x0 ~horizon ~dt
+  Hull.bounds ~check:true ?clip ?obs (Di.of_model m) ~x0 ~horizon ~dt

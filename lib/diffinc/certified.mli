@@ -4,12 +4,11 @@
     solvers can replace sampling-based ingredients with sound symbolic
     ones:
 
-    - {!di} builds the differential inclusion with the {e exact}
-      Jacobian (Pontryagin costates free of finite-difference error);
-    - {!hull_bounds} integrates the differential hull with per-face
-      drift ranges from interval arithmetic — a mathematically
-      guaranteed over-approximation, not a sampled one (possibly wider,
-      by the interval dependency problem).
+    - the solvers run on {!Di.of_model}, with the {e exact} Jacobian
+      (Pontryagin costates free of finite-difference error);
+    - {!hull_bounds} is {!Hull.bounds}, whose per-face drift ranges
+      come from interval arithmetic — a mathematically guaranteed
+      over-approximation, behind the lint gate.
 
     Every entry point first runs the static analyzer
     ({!Umf_lint.Lint}) with the tape tier on ([~tape:true]) unless
@@ -31,8 +30,6 @@ exception Rejected of Lint.report
 (** Raised when the pre-solve lint finds Error-level problems; the
     payload is the full diagnostic report. *)
 
-val di : Umf_meanfield.Model.t -> Di.t
-
 val pontryagin :
   ?steps:int ->
   ?max_iter:int ->
@@ -47,7 +44,7 @@ val pontryagin :
   sense:[ `Max | `Min ] ->
   Pontryagin.objective ->
   Pontryagin.result
-(** {!Pontryagin.solve} on {!di}, gated by the linter ([lint] defaults
+(** {!Pontryagin.solve} on {!Di.of_model}, gated by the linter ([lint] defaults
     to [true]) and with the Hamiltonian optimiser auto-selected from
     the lint classification; the chosen strategy is recorded in the
     result's [opt] field.  [domain] is passed to the linter (defaults
@@ -84,10 +81,10 @@ val hull_bounds :
   horizon:float ->
   dt:float ->
   Hull.traj
-(** Interval-certified differential hull.  Runs the linter first
-    (over [clip] when given, else the model's clip box) and integrates with
-    the {!Hull.bounds} [~check:true] NaN/Inf sanitizer on; [obs] is
-    threaded into the hull integration.
+(** {!Hull.bounds} on {!Di.of_model} behind the lint gate: runs the
+    linter first (over [clip] when given, else the model's clip box)
+    and integrates with the [~check:true] NaN/Inf sanitizer on; [obs]
+    is threaded into the hull integration.
     @raise Rejected when the lint report contains errors. *)
 
 val recommended_hamiltonian_opt :

@@ -18,9 +18,10 @@ type t = {
   plan : Tape.Plan.t option;
       (** The drift's evaluation plan when it is a compiled tape
           ({!of_model}).  Its batch mode is bit-identical to [drift],
-          so solvers ({!Hull}, {!Pontryagin}, {!Uncertain}, {!Reach})
-          batch whole point grids through it whenever it is present,
-          without changing results. *)
+          so solvers ({!Pontryagin}, {!Uncertain}, {!Reach}) batch
+          whole point grids through it whenever it is present, without
+          changing results; {!Hull} takes its face bounds from the
+          plan's interval mode and needs it. *)
 }
 
 val make :

@@ -7,205 +7,58 @@ type traj = {
   upper : Vec.t array;
 }
 
-(* extremise f_i over the face {z in [lo, hi] : z_i = v} x Theta *)
-let face_extremum ~grid ~refine di ~lo ~hi ~coord ~v sense =
-  let d = di.Di.dim in
-  let face_lo = Vec.copy lo and face_hi = Vec.copy hi in
-  face_lo.(coord) <- v;
-  face_hi.(coord) <- v;
-  let joint =
-    Optim.Box.make
-      (Array.append face_lo di.Di.theta.Optim.Box.lo)
-      (Array.append face_hi di.Di.theta.Optim.Box.hi)
-  in
-  let f_i z =
-    let x = Array.sub z 0 d in
-    let theta = Array.sub z d (Array.length z - d) in
-    (di.Di.drift x theta).(coord)
-  in
-  match sense with
-  | `Min -> snd (Optim.minimize_box ~grid ~refine_iters:refine f_i joint)
-  | `Max -> snd (Optim.maximize_box ~grid ~refine_iters:refine f_i joint)
+(* All 2d face bounds of one hull step from the plan's interval mode:
+   face j < d encloses f_j over {z in [lo, hi] : z_j = lo_j} x Theta and
+   keeps its lower end; face j >= d encloses f_(j-d) over
+   {z_(j-d) = hi_(j-d)} x Theta and keeps its upper end.  An interval
+   enclosure lies beyond the face extremum (up to the round-to-nearest
+   of each interval operation), so the hull is an over-approximation by
+   construction (Thm. 4). *)
+let face_bounds plan ~th ~lo ~hi =
+  let d = Vec.dim lo in
+  Array.init (2 * d) (fun j ->
+      let i = j mod d in
+      let v = if j < d then lo.(i) else hi.(i) in
+      let x =
+        Array.init d (fun k ->
+            if k = i then Interval.make v v else Interval.make lo.(k) hi.(k))
+      in
+      let e = (Tape.Plan.run_interval plan ~x ~th).(i) in
+      if j < d then Interval.lo e else Interval.hi e)
 
-type face_extremum =
-  lo:Vec.t -> hi:Vec.t -> coord:int -> value:float -> [ `Min | `Max ] -> float
-
-(* All 2d face-extremum problems of one hull step, solved together
-   against the drift's batch plan: the 2d minimize_box/maximize_box
-   candidate scans concatenate into ONE batched drift evaluation, and
-   the follow-up coordinate descents run in lockstep across faces (one
-   batched evaluation per probe wave — plus first, then minus, exactly
-   the scalar probe order).  Candidate enumeration order, the
-   keep-first fold rule, the radius schedule, the 1e-15 bounds slack
-   and the strict-improvement accept test all transcribe
-   [Optim.minimize_box] / [Optim.coordinate_refine], and the batch
-   kernel is bit-identical to the scalar tape — so each face value
-   equals its scalar [face_extremum] twin bitwise. *)
-let batched_face_extrema ~grid ~refine di plan ~lo ~hi =
-  let d = di.Di.dim in
-  let th = di.Di.theta in
-  let thd = Optim.Box.dim th in
-  let jd = d + thd in
-  let nf = 2 * d in
-  (* face j < d minimises f_(j) on {z_j = lo_j}; face j >= d maximises
-     f_(j-d) on {z_(j-d) = hi_(j-d)}, as a minimisation of -f *)
-  let boxes =
-    Array.init nf (fun j ->
-        let coord = j mod d in
-        let v = if j < d then lo.(coord) else hi.(coord) in
-        let face_lo = Vec.copy lo and face_hi = Vec.copy hi in
-        face_lo.(coord) <- v;
-        face_hi.(coord) <- v;
-        Optim.Box.make
-          (Array.append face_lo th.Optim.Box.lo)
-          (Array.append face_hi th.Optim.Box.hi))
-  in
-  let signed j raw = if j < d then raw else -.raw in
-  let fill xs ths row (z : Vec.t) =
-    for i = 0 to d - 1 do
-      Mat.set xs row i z.(i)
-    done;
-    for i = 0 to thd - 1 do
-      Mat.set ths row i z.(d + i)
-    done
-  in
-  (* candidate scan: vertices then the factorial grid, per face *)
-  let cands =
-    Array.map
-      (fun b ->
-        Array.of_list (Optim.Box.vertices b @ Optim.Box.sample_grid b grid))
-      boxes
-  in
-  let total = Array.fold_left (fun acc c -> acc + Array.length c) 0 cands in
-  let xs = Mat.zeros total d and ths = Mat.zeros total (Stdlib.max 1 thd) in
-  let row = ref 0 in
-  Array.iter
-    (Array.iter (fun z ->
-         fill xs ths !row z;
-         incr row))
-    cands;
-  let vals = Mat.zeros total d in
-  Tape.Plan.run_batch plan ~xs ~ths ~out:vals;
-  let best_x = Array.make nf [||] and best_f = Array.make nf Float.nan in
-  let row = ref 0 in
-  Array.iteri
-    (fun j cs ->
-      let coord = j mod d in
-      let bx = ref None in
-      Array.iter
-        (fun z ->
-          let fx = signed j (Mat.get vals !row coord) in
-          incr row;
-          match !bx with
-          | Some (_, fb) when fb <= fx -> ()
-          | _ -> bx := Some (z, fx))
-        cs;
-      match !bx with
-      | Some (z, f) ->
-          best_x.(j) <- Vec.copy z;
-          best_f.(j) <- f
-      | None -> assert false)
-    cands;
-  (* lockstep coordinate descent: the wave over faces of one (sweep,
-     coordinate, direction) probe *)
-  let probe_rows = Array.make nf (-1) in
-  let probe_cand : Vec.t array = Array.make nf [||] in
-  let radius = ref 0.25 in
-  for _ = 1 to refine do
-    for i = 0 to jd - 1 do
-      List.iter
-        (fun dir ->
-          let nrows = ref 0 in
-          Array.iteri
-            (fun j b ->
-              probe_rows.(j) <- -1;
-              let span = b.Optim.Box.hi.(i) -. b.Optim.Box.lo.(i) in
-              if span > 0. then begin
-                let step = !radius *. span in
-                let v = best_x.(j).(i) +. (dir *. step) in
-                if
-                  v >= b.Optim.Box.lo.(i) -. 1e-15
-                  && v <= b.Optim.Box.hi.(i) +. 1e-15
-                then begin
-                  let cand = Vec.copy best_x.(j) in
-                  cand.(i) <-
-                    Float.min b.Optim.Box.hi.(i)
-                      (Float.max b.Optim.Box.lo.(i) v);
-                  probe_cand.(j) <- cand;
-                  probe_rows.(j) <- !nrows;
-                  incr nrows
-                end
-              end)
-            boxes;
-          if !nrows > 0 then begin
-            let xs = Mat.zeros !nrows d
-            and ths = Mat.zeros !nrows (Stdlib.max 1 thd) in
-            Array.iteri
-              (fun j r -> if r >= 0 then fill xs ths r probe_cand.(j))
-              probe_rows;
-            let vals = Mat.zeros !nrows d in
-            Tape.Plan.run_batch plan ~xs ~ths ~out:vals;
-            Array.iteri
-              (fun j r ->
-                if r >= 0 then begin
-                  let fc = signed j (Mat.get vals r (j mod d)) in
-                  if fc < best_f.(j) then begin
-                    best_x.(j) <- probe_cand.(j);
-                    best_f.(j) <- fc
-                  end
-                end)
-              probe_rows
-          end)
-        [ 1.; -1. ]
-    done;
-    radius := !radius *. 0.7
-  done;
-  Array.init nf (fun j -> signed j best_f.(j))
-
-let bounds ?(grid = 2) ?(refine = 8) ?(check = false) ?clip
-    ?face_extremum:custom ?(obs = Obs.off) di ~x0 ~horizon ~dt =
+let bounds ?(check = false) ?clip ?(obs = Obs.off) di ~x0 ~horizon ~dt =
   if horizon < 0. then invalid_arg "Hull.bounds: negative horizon";
   if dt <= 0. then invalid_arg "Hull.bounds: dt <= 0";
   if Vec.dim x0 <> di.Di.dim then invalid_arg "Hull.bounds: x0 dimension";
+  let plan =
+    match di.Di.plan with
+    | Some p -> p
+    | None ->
+        invalid_arg "Hull.bounds: the inclusion has no compiled drift plan"
+  in
+  (* the step count in floats first: a tiny dt must not wrap to one
+     step over the whole horizon *)
+  let n = Float.ceil (horizon /. dt) in
+  if not (n < float_of_int max_int) then
+    invalid_arg
+      (Printf.sprintf
+         "Hull.bounds: %g steps (horizon %g, dt %g) do not fit an int" n
+         horizon dt);
   let on = Obs.enabled obs in
   let sp = Obs.span_begin obs "hull.bounds" in
   let d = di.Di.dim in
-  let extremum =
-    match custom with
-    | Some f -> f
-    | None ->
-        fun ~lo ~hi ~coord ~value sense ->
-          face_extremum ~grid ~refine di ~lo ~hi ~coord ~v:value sense
+  let th =
+    let b = di.Di.theta in
+    Array.mapi (fun j lo -> Interval.make lo b.Optim.Box.hi.(j)) b.Optim.Box.lo
   in
   let face_evals = ref 0 in
-  let extremum =
-    if on then fun ~lo ~hi ~coord ~value sense ->
-      incr face_evals;
-      extremum ~lo ~hi ~coord ~value sense
-    else extremum
-  in
   (* hull state z = (lower, upper) of dimension 2d *)
-  let rhs =
-    match (custom, di.Di.plan) with
-    | None, Some plan ->
-        (* compiled drift: solve all 2d faces per step in batch
-           (bit-identical to the scalar per-face path) *)
-        fun _t z ->
-          let lo = Array.sub z 0 d and hi = Array.sub z d d in
-          let lo' = Vec.cmin lo hi and hi' = Vec.cmax lo hi in
-          if on then face_evals := !face_evals + (2 * d);
-          batched_face_extrema ~grid ~refine di plan ~lo:lo' ~hi:hi'
-    | _ ->
-        fun _t z ->
-          let lo = Array.sub z 0 d and hi = Array.sub z d d in
-          (* the hull can momentarily invert by integration error; repair *)
-          let lo' = Vec.cmin lo hi and hi' = Vec.cmax lo hi in
-          Array.init (2 * d) (fun j ->
-              if j < d then
-                extremum ~lo:lo' ~hi:hi' ~coord:j ~value:lo'.(j) `Min
-              else
-                let coord = j - d in
-                extremum ~lo:lo' ~hi:hi' ~coord ~value:hi'.(coord) `Max)
+  let rhs _t z =
+    let lo = Array.sub z 0 d and hi = Array.sub z d d in
+    (* the hull can momentarily invert by integration error; repair *)
+    let lo' = Vec.cmin lo hi and hi' = Vec.cmax lo hi in
+    if on then face_evals := !face_evals + (2 * d);
+    face_bounds plan ~th ~lo:lo' ~hi:hi'
   in
   let clip_state z =
     match clip with
@@ -216,7 +69,7 @@ let bounds ?(grid = 2) ?(refine = 8) ?(check = false) ?clip
             Float.min box.Optim.Box.hi.(i) (Float.max box.Optim.Box.lo.(i) z.(j)))
   in
   let z0 = Array.append (Vec.copy x0) (Vec.copy x0) in
-  let steps = Stdlib.max 1 (int_of_float (Float.ceil (horizon /. dt))) in
+  let steps = Stdlib.max 1 (int_of_float n) in
   let h = if horizon > 0. then horizon /. float_of_int steps else 0. in
   let times = Array.make (steps + 1) 0. in
   let lower = Array.make (steps + 1) (Vec.copy x0) in

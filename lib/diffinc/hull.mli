@@ -5,12 +5,19 @@
     that every solution stays coordinate-wise between them.  The hull
     right-hand sides are
 
-    ẋ̲_i = min { f_i(z, θ) : z ∈ [x̲, x̄], z_i = x̲_i, θ ∈ Θ }
-    ẋ̄_i = max { f_i(z, θ) : z ∈ [x̲, x̄], z_i = x̄_i, θ ∈ Θ }
+    ẋ̲_i ≤ min { f_i(z, θ) : z ∈ [x̲, x̄], z_i = x̲_i, θ ∈ Θ }
+    ẋ̄_i ≥ max { f_i(z, θ) : z ∈ [x̲, x̄], z_i = x̄_i, θ ∈ Θ }
 
-    computed by box optimisation (exact for multilinear drifts, where
-    the extremum is attained at a box vertex).  Cheap but — as the
-    paper shows in Figures 4–5 — increasingly loose as Θ grows. *)
+    taken from the drift plan's interval mode ({!Tape.Plan.run_interval})
+    over each face box × Θ: an enclosure of the face's drift range, so
+    each bound lies at or beyond the face extremum and the hull
+    over-approximates by construction — up to floating-point rounding,
+    since {!Interval} rounds each operation to nearest, not outward.
+    A bound is the face extremum itself when each free variable occurs
+    once in the drift coordinate; where one occurs twice, interval
+    arithmetic's dependency problem makes it looser, but it stays
+    sound.  Cheap but — as the paper shows in Figures 4–5 —
+    increasingly loose as Θ grows. *)
 
 open Umf_numerics
 
@@ -20,19 +27,9 @@ type traj = {
   upper : Vec.t array;
 }
 
-type face_extremum =
-  lo:Vec.t -> hi:Vec.t -> coord:int -> value:float -> [ `Min | `Max ] -> float
-(** Extremum of the drift coordinate [coord] over the hull face
-    {z ∈ [lo, hi] : z_coord = value} × Θ.  The default implementation
-    optimises numerically; a symbolic model can supply a certified
-    interval-arithmetic bound instead (see {!Certified}). *)
-
 val bounds :
-  ?grid:int ->
-  ?refine:int ->
   ?check:bool ->
   ?clip:Optim.Box.t ->
-  ?face_extremum:face_extremum ->
   ?obs:Umf_obs.Obs.t ->
   Di.t ->
   x0:Vec.t ->
@@ -40,16 +37,19 @@ val bounds :
   dt:float ->
   traj
 (** Integrate the 2d-dimensional hull system from the degenerate hull
-    [x0, x0].  [grid]/[refine] tune the default per-face box
-    optimisation (defaults 2 and 8; vertices are always included).
-    [check] (default false) raises [Failure] as soon as a hull bound
-    becomes NaN or infinite, reporting the offending time and step —
-    the runtime sanitizer the {!Certified} path switches on.
+    [x0, x0] with ⌈horizon/dt⌉ RK4 steps, Θ being the inclusion's own
+    box.  [check] (default false) raises [Failure] as soon as a hull
+    bound becomes NaN or infinite, reporting the offending time and
+    step — the runtime sanitizer the {!Certified} path switches on.
     [clip] bounds the hull inside an invariant state box (e.g. the unit
     simplex box for densities) — without it, hulls that blow up take
     the drift far outside the model's domain.
     [obs] records the ["hull.bounds"] span, the ["hull.steps"] /
-    ["hull.face_evals"] counters and the ["hull.final_width"] gauge. *)
+    ["hull.face_evals"] counters and the ["hull.final_width"] gauge.
+    @raise Invalid_argument on a negative horizon, a non-positive dt,
+    a step count that is not finite or does not fit an int, an [x0] of
+    the wrong dimension, or an inclusion without a compiled drift plan
+    ({!Di.of_model} always has one). *)
 
 val lower_at : traj -> float -> Vec.t
 
@@ -67,9 +67,8 @@ val final_width : traj -> Vec.t
 
 val final_certs : ?rounding:float -> traj -> Cert.t array
 (** The final-time enclosure of each coordinate as a certificate: the
-    hull interval [lower, upper] is itself the certified answer (sound
-    whenever the face extrema were, e.g. under {!Certified}'s interval
-    arithmetic), outward-widened by [rounding] (default 0; pass
+    hull interval [lower, upper] is itself the certified answer (its
+    face bounds are interval enclosures), outward-widened by [rounding] (default 0; pass
     [Certified.float_error_bound] for the compiled-drift rounding
     budget) on the rounding line. *)
 

@@ -433,7 +433,7 @@ let analyze_transitions ?domain ?(tape = false) ~name ~var_names ~theta_names
     if all_multilinear then
       report "L103" Info Model
         "drift is multilinear: hull face extrema are attained at box \
-         vertices, so vertex/grid optimisation is exact"
+         vertices"
   end;
   let kinked =
     List.filteri (fun i _ -> not classes.(i).smooth) (Array.to_list var_names)

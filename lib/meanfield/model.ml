@@ -156,5 +156,3 @@ let drift_interval m ~x ~th = Tape.Plan.run_interval m.drift_plan ~x ~th
 let affine_in_theta m = m.affine
 
 let multilinear m = m.multilinear
-
-let hamiltonian_opt m = if m.affine then `Vertices else `Box 5

@@ -13,7 +13,7 @@
       ∂f/∂x and ∂f/∂θ, compiled to tapes (Pontryagin costates without
       finite differences);
     - certified interval enclosures of the drift over state × θ boxes
-      (the differential hull's face extrema);
+      (the differential hull's face bounds);
     - the structural flags (affine in θ, multilinear) that select the
       Hamiltonian vertex enumeration where it is exact.
 
@@ -117,8 +117,3 @@ val affine_in_theta : t -> bool
 val multilinear : t -> bool
 (** Whether every drift coordinate is multilinear, in which case box
     extrema (hull faces) are attained at vertices. *)
-
-val hamiltonian_opt : t -> [ `Vertices | `Box of int ]
-(** The Hamiltonian arg-max structure: [`Vertices] when the drift is
-    affine in θ (bang-bang controls provably optimal), [`Box 5]
-    otherwise. *)

@@ -87,19 +87,3 @@ let propensities m ~n x theta =
                  tr.name);
           float_of_int n *. beta)
         m.transitions
-
-let total_rate_bound m ~x_box =
-  (* maximise the total density rate over state-box x theta-box *)
-  let joint =
-    Optim.Box.make
-      (Array.append x_box.Optim.Box.lo m.theta.Optim.Box.lo)
-      (Array.append x_box.Optim.Box.hi m.theta.Optim.Box.hi)
-  in
-  let d = m.dim in
-  let total v =
-    let x = Array.sub v 0 d and theta = Array.sub v d (Array.length v - d) in
-    Array.fold_left (fun acc tr -> acc +. tr.rate x theta) 0. m.transitions
-  in
-  let _, best = Optim.maximize_box ~grid:3 total joint in
-  (* small safety factor against non-multilinear rates *)
-  best *. 1.05

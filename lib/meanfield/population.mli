@@ -73,8 +73,3 @@ val propensities : t -> n:int -> Vec.t -> Vec.t -> Vec.t
 (** [propensities m ~n x theta]: absolute firing rates N·β(x, θ) of
     each class at population size [n] and density state [x].
     @raise Invalid_argument if a rate is negative or NaN. *)
-
-val total_rate_bound : t -> x_box:Optim.Box.t -> float
-(** An upper bound on Σ β(x, θ) over the given state box and the θ-box,
-    from {!Optim.maximize_box} — used for thinning-based simulation and
-    uniformisation-style stability checks. *)

@@ -37,4 +37,4 @@ let make p =
 
 let model p = Model.population (make p)
 
-let di p = Umf_diffinc.Certified.di (make p)
+let di p = Umf_diffinc.Di.of_model (make p)

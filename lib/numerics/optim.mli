@@ -1,20 +1,13 @@
 (** Scalar and box-constrained optimisation.
 
-    Scalar minimisers (golden section, Brent) for robust-tuning sweeps,
-    and box minimisers/maximisers used by the differential-hull method
-    and by Pontryagin's arg-max when the drift is not affine in θ. *)
+    A golden-section minimiser for robust-tuning sweeps, and box
+    minimisers/maximisers used by Pontryagin's arg-max when the drift
+    is not affine in θ. *)
 
 val golden_section_min :
   ?tol:float -> ?max_iter:int -> (float -> float) -> float -> float -> float * float
 (** [golden_section_min f a b] minimises a unimodal [f] on [a, b];
     returns [(x, f x)]. *)
-
-val brent_min :
-  ?tol:float -> ?max_iter:int -> (float -> float) -> float -> float -> float * float
-(** Brent's method (golden section + parabolic interpolation). *)
-
-val grid_min_1d : (float -> float) -> float -> float -> int -> float * float
-(** Evaluate on an [n]-point grid, return the best point. *)
 
 (** Axis-aligned boxes in R^n. *)
 module Box : sig
@@ -43,14 +36,6 @@ module Box : sig
   val clamp : t -> Vec.t -> Vec.t
 end
 
-val coordinate_refine : (Vec.t -> float) -> Box.t -> Vec.t -> int -> Vec.t * float
-(** [coordinate_refine f box x0 iters]: the shrinking coordinate
-    descent {!minimize_box} runs from its best candidate — exposed so
-    batched callers can replay the candidate scan themselves and still
-    finish with the identical refinement.  Probes [x ± r·span] per
-    coordinate, radius r starting at 0.25 and shrinking by 0.7 per
-    sweep; accepts strictly improving points only. *)
-
 val minimize_box :
   ?grid:int ->
   ?refine_iters:int ->
@@ -74,13 +59,3 @@ val argmax_vertices : (Vec.t -> float) -> Box.t -> Vec.t * float
 (** Maximum over the box vertices only — exact arg max for functions
     affine in each coordinate (e.g. Hamiltonians of drifts affine in
     θ). *)
-
-val nelder_mead :
-  ?tol:float ->
-  ?max_iter:int ->
-  ?scale:float ->
-  (Vec.t -> float) ->
-  Vec.t ->
-  Vec.t * float
-(** Unconstrained Nelder–Mead simplex descent started at the given
-    point. *)

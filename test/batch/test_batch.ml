@@ -1,10 +1,9 @@
 (* The batch determinism gate: for every registry model, the
    structure-of-arrays [Tape.Plan.run_batch] must reproduce the scalar
    [Tape.Plan.run] loop BIT FOR BIT — under the sequential chunk
-   runner and under 2- and 4-domain pools.  Every consumer that
-   switched to batched evaluation in this PR (hull faces, Pontryagin
-   sweeps, uncertainty grids, reachability clouds, CTMC assembly)
-   leans on exactly this contract, so a single bit of divergence here
+   runner and under 2- and 4-domain pools.  Every consumer of batched
+   evaluation (Pontryagin sweeps, uncertainty grids, reachability
+   clouds, CTMC assembly) leans on exactly this contract, so a single bit of divergence here
    is a real bug there. *)
 
 open Umf_numerics
@@ -88,10 +87,9 @@ let test_model (name, m) () =
 (* Solver-level A/B: the batched fast paths activate when [Di.t]
    carries a plan and fall back to the scalar loops when it does not.
    Both must produce the same answer BIT FOR BIT — that is the whole
-   determinism story of the batched hull faces, Pontryagin sweeps,
-   uncertainty grids and reachability clouds. *)
+   determinism story of the batched Pontryagin sweeps, uncertainty
+   grids and reachability clouds. *)
 module Di = Umf_diffinc.Di
-module Hull = Umf_diffinc.Hull
 module Pontryagin = Umf_diffinc.Pontryagin
 module Uncertain = Umf_diffinc.Uncertain
 module Reach = Umf_diffinc.Reach
@@ -107,19 +105,6 @@ let dis () =
   let m = Umf_models.Registry.find_exn "sir" in
   let di = Di.of_model m in
   (di, { di with Di.plan = None }, m)
-
-let test_hull_ab () =
-  let di, di_scalar, m = dis () in
-  let x0 = Model.x0 m in
-  let b = Hull.bounds ~clip:(Model.clip m) di ~x0 ~horizon:2. ~dt:0.05 in
-  let b' = Hull.bounds ~clip:(Model.clip m) di_scalar ~x0 ~horizon:2. ~dt:0.05 in
-  Array.iteri
-    (fun i lo ->
-      Alcotest.check vec_eq (Printf.sprintf "lower %d" i)
-        b'.Hull.lower.(i) lo;
-      Alcotest.check vec_eq (Printf.sprintf "upper %d" i)
-        b'.Hull.upper.(i) b.Hull.upper.(i))
-    b.Hull.lower
 
 let test_pontryagin_ab () =
   let di, di_scalar, m = dis () in
@@ -166,7 +151,6 @@ let () =
           (Umf_models.Registry.all ()) );
       ( "solver A/B (plan vs stripped)",
         [
-          Alcotest.test_case "hull bounds" `Quick test_hull_ab;
           Alcotest.test_case "pontryagin series" `Quick test_pontryagin_ab;
           Alcotest.test_case "uncertain envelope" `Quick test_uncertain_ab;
           Alcotest.test_case "reach cloud" `Quick test_reach_ab;

@@ -1,7 +1,8 @@
 (* Black-box test of the umf_cli tolerance surface: --epsilon (a target
    certified error) is the one tolerance flag of bounds and ctmc, so
    --dt there is an unknown option (cmdliner usage error, exit 124),
-   while hull keeps --dt as its own grid step. *)
+   while hull keeps --dt as its own grid step — and refuses a step too
+   small to count or a non-finite step or horizon (exit 1). *)
 
 let cli = Sys.argv.(1)
 
@@ -49,6 +50,12 @@ let check_unknown_dt name args =
   if not (contains err "--dt") then
     fail "%s: usage error does not name --dt:\n%s" name err
 
+let check_refused name args =
+  let code, err = run args in
+  if code <> 1 then fail "%s: expected exit 1, got %d:\n%s" name code err;
+  if not (contains err "error:") then
+    fail "%s: no error: line on stderr:\n%s" name err
+
 let bounds_args =
   [ "bounds"; "-m"; "sir"; "--var"; "I"; "--horizon"; "0.5"; "--points";
     "2"; "--steps"; "20" ]
@@ -64,6 +71,14 @@ let () =
   check_unknown_dt "ctmc" ctmc_args;
   check_ok "hull --dt"
     [ "hull"; "-m"; "sir"; "--horizon"; "0.5"; "--dt"; "0.05" ];
+  (* a step count past max_int must not wrap to one step over the
+     horizon, and NaN must not pass the positivity checks *)
+  check_refused "hull --dt 1e-300"
+    [ "hull"; "-m"; "sir"; "--horizon"; "1"; "--dt"; "1e-300" ];
+  check_refused "hull --dt nan"
+    [ "hull"; "-m"; "sir"; "--horizon"; "1"; "--dt"; "nan" ];
+  check_refused "hull --horizon nan"
+    [ "hull"; "-m"; "sir"; "--horizon"; "nan" ];
   print_endline
     "cli-flags OK (--epsilon on bounds and ctmc, --dt refused there, hull \
-     --dt kept)"
+     --dt kept, tiny and non-finite hull steps refused)"

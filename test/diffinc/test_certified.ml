@@ -16,7 +16,7 @@ let sys () =
 
 let test_di_has_exact_jacobian () =
   let s = sys () in
-  let di = Certified.di s in
+  let di = Di.of_model s in
   (* costate rhs with the symbolic jacobian vs finite differences *)
   let di_fd = Di.make ~dim:1 ~theta:di.Di.theta di.Di.drift in
   let x = [| 0.3 |] and theta = [| 3. |] and p = [| 1.5 |] in
@@ -28,22 +28,12 @@ let test_di_has_exact_jacobian () =
     (-.((3. *. (1. -. 0.6)) -. 1.) *. 1.5)
     a.(0)
 
-let test_certified_hull_contains_sampled_hull () =
+let test_certified_hull_contains_constant_solutions () =
   let s = sys () in
-  let di = Certified.di s in
+  let di = Di.of_model s in
   let x0 = [| 0.3 |] in
-  let sampled = Hull.bounds di ~x0 ~horizon:2. ~dt:0.01 in
   let certified = Certified.hull_bounds s ~x0 ~horizon:2. ~dt:0.01 in
-  (* certified interval bounds enclose the numerically optimised ones *)
-  List.iter
-    (fun t ->
-      Alcotest.(check bool)
-        (Printf.sprintf "certified wider at t=%g" t)
-        true
-        ((Hull.lower_at certified t).(0) <= (Hull.lower_at sampled t).(0) +. 1e-6
-        && (Hull.upper_at certified t).(0) >= (Hull.upper_at sampled t).(0) -. 1e-6))
-    [ 0.5; 1.; 2. ];
-  (* and still sound: every constant-theta solution inside *)
+  (* sound: every constant-theta solution inside *)
   List.iter
     (fun th ->
       let traj = Di.integrate_constant di ~theta:[| th |] ~x0 ~horizon:2. ~dt:0.01 in
@@ -62,6 +52,49 @@ let test_certified_hull_not_too_loose () =
   Alcotest.(check bool)
     (Printf.sprintf "width %.3f below 0.6" w)
     true (w < 0.6)
+
+(* the certified hull is the plain hull with the sanitizer on, behind
+   the lint gate: bitwise the same bounds *)
+let test_certified_hull_is_checked_hull () =
+  let s = sys () in
+  let x0 = [| 0.3 |] in
+  let clip = Optim.Box.make [| 0. |] [| 1. |] in
+  let certified = Certified.hull_bounds ~clip s ~x0 ~horizon:2. ~dt:0.01 in
+  let plain =
+    Hull.bounds ~check:true ~clip (Di.of_model s) ~x0 ~horizon:2. ~dt:0.01
+  in
+  Alcotest.(check bool) "same times" true (certified.Hull.times = plain.Hull.times);
+  Alcotest.(check bool) "same lower" true (certified.Hull.lower = plain.Hull.lower);
+  Alcotest.(check bool) "same upper" true (certified.Hull.upper = plain.Hull.upper)
+
+(* ẋ = x² from 1 blows up at t = 1; the certified path stops there *)
+let test_certified_hull_sanitizer () =
+  let open Expr in
+  let blowup =
+    Model.make ~name:"blowup" ~var_names:[| "X" |] ~theta_names:[| "th" |]
+      ~theta:(Optim.Box.make [| 0. |] [| 1. |])
+      ~x0:[| 1. |]
+      [ { Model.name = "grow"; change = [| 1. |]; rate = var 0 *: var 0 } ]
+  in
+  match
+    Certified.hull_bounds ~lint:false blowup ~x0:[| 1. |] ~horizon:2. ~dt:0.01
+  with
+  | _ -> Alcotest.fail "expected Failure"
+  | exception Failure msg ->
+      let prefix = "Hull.bounds: non-finite" in
+      Alcotest.(check string) "message" prefix
+        (String.sub msg 0 (String.length prefix))
+
+(* [~lint:false] skips the gate: a certifiably negative rate runs *)
+let test_certified_hull_ungated () =
+  let bad =
+    Model.make ~name:"bad" ~var_names:[| "X" |] ~theta_names:[| "t" |]
+      ~theta:(Optim.Box.make [| 0. |] [| 1. |])
+      ~x0:[| 0.5 |]
+      [ { Model.name = "sink"; change = [| 1. |]; rate = Expr.const (-2.) } ]
+  in
+  let h = Certified.hull_bounds ~lint:false bad ~x0:[| 0.5 |] ~horizon:0.5 ~dt:0.1 in
+  Alcotest.(check (float 1e-12)) "x(T) = 0.5 - 2T" (-0.5) (Hull.upper_at h 0.5).(0)
 
 let test_recommendation () =
   let s = sys () in
@@ -89,7 +122,7 @@ let test_auto_select_vertices () =
   Alcotest.(check bool) "sir: auto-selected vertices" true
     (r.Pontryagin.opt = `Vertices);
   let plain =
-    Pontryagin.solve ~steps:100 ~opt:`Vertices (Certified.di s) ~x0 ~horizon:2.
+    Pontryagin.solve ~steps:100 ~opt:`Vertices (Di.of_model s) ~x0 ~horizon:2.
       ~sense:`Max (`Coord 1)
   in
   Alcotest.(check (float 1e-12)) "sir: identical bound"
@@ -103,7 +136,7 @@ let test_auto_select_vertices () =
   Alcotest.(check bool) "gps: auto-selected vertices" true
     (gr.Pontryagin.opt = `Vertices);
   let gplain =
-    Pontryagin.solve ~steps:60 ~opt:`Vertices (Certified.di g) ~x0:gx0
+    Pontryagin.solve ~steps:60 ~opt:`Vertices (Di.of_model g) ~x0:gx0
       ~horizon:1. ~sense:`Max (`Coord 0)
   in
   Alcotest.(check (float 1e-12)) "gps: identical bound"
@@ -133,8 +166,13 @@ let suites =
         Alcotest.test_case "auto-select box (non-affine)" `Quick
           test_auto_select_box_when_not_affine;
         Alcotest.test_case "exact jacobian wiring" `Quick test_di_has_exact_jacobian;
-        Alcotest.test_case "certified hull encloses sampled" `Quick test_certified_hull_contains_sampled_hull;
+        Alcotest.test_case "certified hull contains constant-theta solutions" `Quick
+          test_certified_hull_contains_constant_solutions;
         Alcotest.test_case "certified hull reasonably tight" `Quick test_certified_hull_not_too_loose;
+        Alcotest.test_case "certified hull is the checked hull" `Quick
+          test_certified_hull_is_checked_hull;
+        Alcotest.test_case "certified hull sanitizer" `Quick test_certified_hull_sanitizer;
+        Alcotest.test_case "certified hull ungated" `Quick test_certified_hull_ungated;
         Alcotest.test_case "hamiltonian opt recommendation" `Quick test_recommendation;
       ] );
   ]

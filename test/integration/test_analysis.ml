@@ -10,8 +10,24 @@ let times = [| 0.; 1.; 2. |]
 
 let test_spec_validation () =
   Alcotest.check_raises "horizon <= 0"
-    (Invalid_argument "Analysis.spec: need horizon > 0") (fun () ->
+    (Invalid_argument "Analysis.spec: need finite horizon > 0") (fun () ->
       ignore (Analysis.spec ~horizon:0. model));
+  (* NaN passes a [x <= 0.] test; every non-finite value is refused *)
+  List.iter
+    (fun (name, mk) ->
+      List.iter
+        (fun v ->
+          Alcotest.check_raises
+            (Printf.sprintf "%s = %g" name v)
+            (Invalid_argument
+               (Printf.sprintf "Analysis.spec: need finite %s > 0" name))
+            (fun () -> ignore (mk v)))
+        [ Float.nan; infinity; -1. ])
+    [
+      ("horizon", fun v -> Analysis.spec ~horizon:v model);
+      ("dt", fun v -> Analysis.spec ~dt:v model);
+      ("tol", fun v -> Analysis.spec ~tol:v model);
+    ];
   Alcotest.check_raises "steps < 1"
     (Invalid_argument "Analysis.spec: need steps >= 1") (fun () ->
       ignore (Analysis.spec ~steps:0 model));
@@ -74,6 +90,29 @@ let test_hull_bounds_wrapper () =
       Alcotest.(check bool) "hull inside the clip box" true
         (Vec.le clip.Optim.Box.lo lo && Vec.le h.Hull.upper.(k) clip.Optim.Box.hi))
     h.Hull.lower
+
+(* the spec's dt and Θ override reach the hull *)
+let test_hull_bounds_spec () =
+  let s = Analysis.spec ~horizon:1. ~dt:0.3 model in
+  let h = Analysis.hull_bounds s ~x0:Sir.x0 in
+  Alcotest.(check int) "ceil(horizon/dt) steps" 5 (Array.length h.Hull.times);
+  let th = (Model.theta model).Optim.Box.lo.(0) in
+  let point = Optim.Box.make [| th |] [| th |] in
+  let wide = Analysis.hull_bounds (Analysis.spec ~horizon:2. model) ~x0:Sir.x0 in
+  let narrow =
+    Analysis.hull_bounds (Analysis.spec ~theta:point ~horizon:2. model) ~x0:Sir.x0
+  in
+  Alcotest.(check bool) "a point theta box gives a narrower hull" true
+    (Vec.norm_inf (Hull.final_width narrow) < Vec.norm_inf (Hull.final_width wide))
+
+(* a dt that passes the spec but makes too many steps to count is
+   refused by the hull, not run as one step over the horizon *)
+let test_hull_bounds_tiny_dt () =
+  let s = Analysis.spec ~horizon:1. ~dt:1e-300 model in
+  Alcotest.check_raises "too many steps"
+    (Invalid_argument
+       "Hull.bounds: 1e+300 steps (horizon 1, dt 1e-300) do not fit an int")
+    (fun () -> ignore (Analysis.hull_bounds s ~x0:Sir.x0))
 
 let test_steady_state_region () =
   let s = Analysis.spec model in
@@ -187,6 +226,8 @@ let suites =
         Alcotest.test_case "default sample times" `Quick test_transient_bounds_default_times;
         Alcotest.test_case "scenario nesting" `Quick test_transient_bounds_scenarios_nested;
         Alcotest.test_case "hull wrapper" `Quick test_hull_bounds_wrapper;
+        Alcotest.test_case "hull follows the spec" `Quick test_hull_bounds_spec;
+        Alcotest.test_case "hull refuses a tiny dt" `Quick test_hull_bounds_tiny_dt;
         Alcotest.test_case "steady-state region" `Quick test_steady_state_region;
         Alcotest.test_case "stationary cloud" `Slow test_stationary_cloud_and_inclusion;
         Alcotest.test_case "mean exceedance semantics" `Quick test_mean_exceedance_semantics;

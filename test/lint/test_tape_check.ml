@@ -312,9 +312,6 @@ let crossterm_model () =
 
 let test_certified_beats_heuristic () =
   let m = crossterm_model () in
-  (* the pre-existing syntactic heuristic falls back to a box search *)
-  Alcotest.(check bool) "old heuristic: box" true
-    (Model.hamiltonian_opt m = `Box 5);
   let r = Lint.analyze ~tape:true m in
   Alcotest.(check bool) "vertex optimality proven" true r.Lint.vertex_certified;
   Alcotest.(check bool) "recommendation upgraded to vertices" true

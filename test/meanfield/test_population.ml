@@ -70,15 +70,6 @@ let test_propensities_invalid () =
     (Invalid_argument "Population: transition neg has invalid rate") (fun () ->
       ignore (Population.propensities bad ~n:10 [| 0.5 |] [||]))
 
-let test_total_rate_bound () =
-  let m = bd_model () in
-  let bound =
-    Population.total_rate_bound m ~x_box:(Optim.Box.make [| 0. |] [| 1. |])
-  in
-  (* max total rate: theta(1-x) + x <= max(theta, 1) = 2 at x=0, th=2 *)
-  Alcotest.(check bool) "bound dominates" true (bound >= 2.);
-  Alcotest.(check bool) "bound not wild" true (bound <= 3.)
-
 let prop_drift_linear_in_rates =
   (* drift at x is a linear combination of changes with non-negative
      weights: for the bd model |f| <= birth_rate + death_rate *)
@@ -100,7 +91,6 @@ let suites =
         Alcotest.test_case "controlled rhs" `Quick test_controlled_rhs;
         Alcotest.test_case "propensities" `Quick test_propensities;
         Alcotest.test_case "invalid rate detection" `Quick test_propensities_invalid;
-        Alcotest.test_case "total rate bound" `Quick test_total_rate_bound;
         QCheck_alcotest.to_alcotest prop_drift_linear_in_rates;
       ] );
   ]

@@ -10,19 +10,16 @@ let test_golden () =
   check_close 1e-5 "argmin" 1.3 x;
   check_close 1e-9 "min value" 0.5 fx
 
-let test_brent_min () =
-  let x, _ = Optim.brent_min quadratic (-10.) 10. in
-  check_close 1e-6 "argmin" 1.3 x
-
-let test_brent_nonsymmetric () =
-  let f x = Float.exp x -. (3. *. x) in
-  (* minimum at x = ln 3 *)
-  let x, _ = Optim.brent_min f 0. 3. in
+let test_golden_asymmetric () =
+  (* e^x − 3x has its minimum at ln 3, off the bracket's centre *)
+  let x, _ = Optim.golden_section_min (fun x -> Float.exp x -. (3. *. x)) 0. 3. in
   check_close 1e-6 "argmin" (Float.log 3.) x
 
-let test_grid_min () =
-  let x, _ = Optim.grid_min_1d quadratic 0. 2. 201 in
-  check_close 1e-2 "grid argmin" 1.3 x
+let test_golden_endpoint () =
+  (* a monotone f: the bracket shrinks onto its left end *)
+  let x, fx = Optim.golden_section_min (fun x -> 2. *. x) 1. 4. in
+  check_close 1e-7 "argmin at the left end" 1. x;
+  check_close 1e-7 "min value" 2. fx
 
 let box2 lo1 hi1 lo2 hi2 = Optim.Box.make [| lo1; lo2 |] [| hi1; hi2 |]
 
@@ -81,20 +78,17 @@ let test_maximize_box () =
   let _, fx = Optim.maximize_box f (box2 0. 1. 0. 1.) in
   check_close 1e-9 "affine max" 3. fx
 
+let test_maximize_box_multilinear () =
+  (* multilinear: exact at a vertex, (-1, 3) *)
+  let x, fx = Optim.maximize_box (fun v -> -.(v.(0) *. v.(1))) (box2 (-1.) 2. (-1.) 3.) in
+  check_close 1e-12 "vertex maximum" 3. fx;
+  Alcotest.(check bool) "at corner (-1,3)" true (x = [| -1.; 3. |])
+
 let test_argmax_vertices () =
   let f v = (2. *. v.(0)) -. v.(1) in
   let x, fx = Optim.argmax_vertices f (box2 0. 1. 0. 1.) in
   check_close 1e-12 "value" 2. fx;
   Alcotest.(check bool) "at corner (1,0)" true (x = [| 1.; 0. |])
-
-let test_nelder_mead_rosenbrock () =
-  let f v =
-    let a = 1. -. v.(0) and b = v.(1) -. (v.(0) *. v.(0)) in
-    (a *. a) +. (100. *. b *. b)
-  in
-  let x, fx = Optim.nelder_mead ~max_iter:5000 ~tol:1e-14 f [| -1.2; 1. |] in
-  Alcotest.(check bool) "rosenbrock solved" true
-    (Float.abs (x.(0) -. 1.) < 1e-3 && Float.abs (x.(1) -. 1.) < 1e-3 && fx < 1e-6)
 
 let prop_minimize_box_below_midpoint =
   (* the reported minimum is never worse than the box midpoint *)
@@ -111,9 +105,8 @@ let suites =
     ( "optim",
       [
         Alcotest.test_case "golden section" `Quick test_golden;
-        Alcotest.test_case "brent min" `Quick test_brent_min;
-        Alcotest.test_case "brent asymmetric" `Quick test_brent_nonsymmetric;
-        Alcotest.test_case "grid min" `Quick test_grid_min;
+        Alcotest.test_case "golden section asymmetric" `Quick test_golden_asymmetric;
+        Alcotest.test_case "golden section endpoint" `Quick test_golden_endpoint;
         Alcotest.test_case "box validation" `Quick test_box_make_invalid;
         Alcotest.test_case "box vertices" `Quick test_box_vertices;
         Alcotest.test_case "degenerate vertices" `Quick test_box_vertices_degenerate;
@@ -123,8 +116,8 @@ let suites =
         Alcotest.test_case "box min quadratic" `Quick test_minimize_box_quadratic;
         Alcotest.test_case "box min multilinear exact" `Quick test_minimize_box_multilinear;
         Alcotest.test_case "box max affine" `Quick test_maximize_box;
+        Alcotest.test_case "box max multilinear exact" `Quick test_maximize_box_multilinear;
         Alcotest.test_case "argmax over vertices" `Quick test_argmax_vertices;
-        Alcotest.test_case "nelder-mead rosenbrock" `Quick test_nelder_mead_rosenbrock;
         QCheck_alcotest.to_alcotest prop_minimize_box_below_midpoint;
       ] );
   ]

@@ -366,6 +366,31 @@ let test_sir3_hull () =
       in
       if not (bool_member "ok" (parse r)) then fail "sir3 hull failed: %s" r)
 
+(* interval faces make the jsq2 hull fast enough for a 1 s deadline;
+   a step count that does not fit an int and a non-finite horizon are
+   refused before any work ("1e999" parses to infinity) *)
+let test_hull_requests () =
+  with_server (fun t ->
+      let answer req = parse (List.hd (Serve.process t [ req ])) in
+      let j =
+        answer
+          "{\"op\":\"hull\",\"model\":\"jsq2\",\"horizon\":2,\
+           \"deadline_ms\":1000}"
+      in
+      if not (bool_member "ok" j) then
+        fail "jsq2 hull missed a 1 s deadline: %s" (Json.to_string j);
+      List.iter
+        (fun req ->
+          let j = answer req in
+          if bool_member "ok" j
+             || str_member "kind" (member "error" j) <> "bad_request"
+          then
+            fail "expected bad_request for %s, got %s" req (Json.to_string j))
+        [
+          "{\"op\":\"hull\",\"model\":\"sir\",\"horizon\":1,\"dt\":1e-300}";
+          "{\"op\":\"hull\",\"model\":\"sir\",\"horizon\":1e999}";
+        ])
+
 let () =
   test_cache_identity ();
   test_batch_determinism ();
@@ -377,7 +402,9 @@ let () =
   test_ctmc_overflow ();
   test_long_requests ();
   test_sir3_hull ();
+  test_hull_requests ();
   print_endline
     "serve-smoke OK (cache identity, batch determinism, deadline, \
      backpressure, pipe transport, new-op warm hits, fingerprints, ctmc \
-     overflow, long-request cap and deadlines, sir3 hull)"
+     overflow, long-request cap and deadlines, sir3 hull, jsq2 hull in 1 s, \
+     tiny and non-finite hull steps refused)"
