@@ -78,3 +78,22 @@ let time_it f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
+
+(* the commit the measured tree is based on, marked "+dirty" when the
+   tree has uncommitted changes; "unknown" outside a git checkout *)
+let git_commit () =
+  let read cmd =
+    try
+      let ic = Unix.open_process_in (cmd ^ " 2>/dev/null") in
+      let out = In_channel.input_all ic in
+      match Unix.close_process_in ic with
+      | Unix.WEXITED 0 -> Some (String.trim out)
+      | _ -> None
+    with Unix.Unix_error _ -> None
+  in
+  match read "git rev-parse --short HEAD" with
+  | None | Some "" -> "unknown"
+  | Some head -> (
+      match read "git status --porcelain --untracked-files=no" with
+      | Some "" -> head
+      | _ -> head ^ "+dirty")

@@ -92,10 +92,12 @@ let op_name = function
 let field name j =
   match Json.member name j with Some Json.Null -> None | v -> v
 
+(* "1e999" parses to infinity: no field takes a non-finite number *)
 let opt_num name j =
   match field name j with
   | None -> None
-  | Some (Json.Num f) -> Some f
+  | Some (Json.Num f) when Float.is_finite f -> Some f
+  | Some (Json.Num _) -> bad "field %S must be a finite number" name
   | Some _ -> bad "field %S must be a number" name
 
 let opt_int name j =
@@ -120,12 +122,22 @@ let num_list name = function
       Array.of_list
         (List.map
            (function
-             | Json.Num f -> f | _ -> bad "field %S must hold numbers" name)
+             | Json.Num f when Float.is_finite f -> f
+             | Json.Num _ -> bad "field %S must hold finite numbers" name
+             | _ -> bad "field %S must hold numbers" name)
            l)
   | _ -> bad "field %S must be an array" name
 
 let opt_vec name j =
   match field name j with None -> None | Some v -> Some (num_list name v)
+
+let opt_times j =
+  let times = opt_vec "times" j in
+  Option.iter
+    (Array.iter (fun t ->
+         if t < 0. then bad "field \"times\" must hold numbers >= 0"))
+    times;
+  times
 
 let opt_bool ~default name j =
   match field name j with
@@ -191,6 +203,8 @@ let theta_of_json j =
   | Some (Json.Arr rows) ->
       let iv = function
         | Json.Arr [ Json.Num lo; Json.Num hi ] -> (
+            if not (Float.is_finite lo && Float.is_finite hi) then
+              bad "bad theta interval: bounds must be finite";
             try Interval.make lo hi
             with Invalid_argument m -> bad "bad theta interval: %s" m)
         | _ -> bad "field \"theta\" must be an array of [lo, hi] pairs"
@@ -207,7 +221,7 @@ let op_of_json j =
            {
              x0 = opt_vec "x0" j;
              coord = int_or "coord" 0 j;
-             times = opt_vec "times" j;
+             times = opt_times j;
            })
   | Some (Json.Str "hull") -> `Analysis (Hull_bounds { x0 = opt_vec "x0" j })
   | Some (Json.Str "steady") ->
@@ -222,7 +236,7 @@ let op_of_json j =
              direction = enum ~default:(Some `Above) "direction" directions j;
              epsilon = opt_num "epsilon" j;
              max_states = opt_int "max_states" j;
-             times = opt_vec "times" j;
+             times = opt_times j;
            })
   | Some (Json.Str "simulate") ->
       (* only the fields the answer depends on enter the op, so
@@ -258,7 +272,7 @@ let op_of_json j =
              times =
                (match mode with
                | `Stationary _ -> None
-               | `Transient _ | `Envelope _ -> opt_vec "times" j);
+               | `Transient _ | `Envelope _ -> opt_times j);
            })
   | Some (Json.Str "ping") -> `Ping
   | Some (Json.Str "metrics") -> `Metrics

@@ -1,4 +1,5 @@
 open Umf_numerics
+module Obs = Umf_obs.Obs
 
 type t = {
   dim : int;
@@ -6,6 +7,7 @@ type t = {
   drift : Vec.t -> Vec.t -> Vec.t;
   jacobian : (Vec.t -> Vec.t -> Mat.t) option;
   plan : Tape.Plan.t option;
+  jac_plan : Tape.Plan.t option;
 }
 
 let make ?jacobian ?plan ~dim ~theta drift =
@@ -14,7 +16,7 @@ let make ?jacobian ?plan ~dim ~theta drift =
   | Some p when Tape.n_outputs (Tape.Plan.tape p) <> dim ->
       invalid_arg "Di.make: plan output count differs from dim"
   | _ -> ());
-  { dim; theta; drift; jacobian; plan }
+  { dim; theta; drift; jacobian; plan; jac_plan = None }
 
 let of_population ?jacobian (m : Umf_meanfield.Population.t) =
   {
@@ -23,6 +25,7 @@ let of_population ?jacobian (m : Umf_meanfield.Population.t) =
     drift = Umf_meanfield.Population.drift m;
     jacobian;
     plan = None;
+    jac_plan = None;
   }
 
 let of_model (m : Umf_meanfield.Model.t) =
@@ -32,6 +35,7 @@ let of_model (m : Umf_meanfield.Model.t) =
     drift = Umf_meanfield.Model.drift m;
     jacobian = Some (Umf_meanfield.Model.jacobian m);
     plan = Some (Umf_meanfield.Model.drift_plan m);
+    jac_plan = Some (Umf_meanfield.Model.jac_plan m);
   }
 
 let integrate_constant ?obs di ~theta ~x0 ~horizon ~dt =
@@ -91,15 +95,20 @@ let lockstep_step ?par plan ~theta_at ~t ~h ~ys ~ths ~tmp ~k1 ~k2 ~k3 ~k4 =
   Tape.Plan.run_batch ?par plan ~xs:tmp ~ths ~out:k4;
   combine_rows h ys k1 k2 k3 k4
 
-(* drive [n] lanes from x0 to the horizon; [record t ys] observes the
-   shared time grid exactly as [Ode.integrate] builds it *)
-let lockstep_run ?par di plan ~theta_at ~theta_cols ~record ~x0 ~horizon ~dt ~n
-    =
+let check_grid ~horizon ~dt =
   if horizon < 0. then invalid_arg "Ode: t1 < t0";
-  if dt <= 0. then invalid_arg "Ode: dt <= 0";
-  let d = di.dim in
-  if Vec.dim x0 <> d then invalid_arg "Di: x0 dimension mismatch";
-  let ys = Mat.init n d (fun _ j -> x0.(j)) in
+  if dt <= 0. then invalid_arg "Ode: dt <= 0"
+
+(* drive one lane per start state in [x0s] to the horizon; [record t
+   ys] observes the shared time grid exactly as [Ode.integrate] builds
+   it *)
+let lockstep_run ?par di plan ~theta_at ~theta_cols ~record ~x0s ~horizon ~dt =
+  check_grid ~horizon ~dt;
+  let d = di.dim and n = Array.length x0s in
+  Array.iter
+    (fun x0 -> if Vec.dim x0 <> d then invalid_arg "Di: x0 dimension mismatch")
+    x0s;
+  let ys = Mat.init n d (fun l j -> x0s.(l).(j)) in
   let ths = Mat.zeros n (Stdlib.max 1 theta_cols) in
   let tmp = Mat.zeros n d
   and k1 = Mat.zeros n d
@@ -131,39 +140,70 @@ let theta_width di (thetas : Vec.t array) =
   Array.fold_left (fun w th -> Stdlib.max w (Vec.dim th))
     (Optim.Box.dim di.theta) thetas
 
-let integrate_constant_batch ?par di ~(thetas : Vec.t array) ~x0 ~horizon ~dt =
+(* constant θ: fill the rows once, before the first stage *)
+let constant_thetas thetas =
+  let primed = ref false in
+  fun _t _xs ths ->
+    if not !primed then begin
+      primed := true;
+      fill_thetas ths thetas
+    end
+
+(* the time grid [Ode.integrate] builds from 0 to [horizon] *)
+let grid_times ~horizon ~dt =
+  let t = ref 0. and times = ref [ 0. ] in
+  while !t < horizon -. 1e-12 do
+    t := !t +. Float.min dt (horizon -. !t);
+    times := !t :: !times
+  done;
+  Array.of_list (List.rev !times)
+
+let integrate_constant_lanes di ~obs ~(thetas : Vec.t array) ~x0s ~horizon
+    ~dt =
   let n = Array.length thetas in
+  if Array.length x0s <> n then
+    invalid_arg "Di.integrate_constant_lanes: thetas and x0s differ in length";
   if n = 0 then [||]
   else
     match di.plan with
     | None ->
-        Array.map
-          (fun theta -> integrate_constant di ~theta ~x0 ~horizon ~dt)
-          thetas
+        Array.map2
+          (fun theta x0 ->
+            let traj = integrate_constant ~obs di ~theta ~x0 ~horizon ~dt in
+            Array.concat (Array.to_list traj.Ode.Traj.states))
+          thetas x0s
     | Some plan ->
-        let times = ref [] and states = Array.make n [] in
-        let record t ys =
-          times := t :: !times;
+        check_grid ~horizon ~dt;
+        let d = di.dim and n_t = Array.length (grid_times ~horizon ~dt) in
+        let out = Array.init n (fun _ -> Array.make (n_t * d) 0.) in
+        let step = ref 0 in
+        let record _t ys =
+          Obs.checkpoint obs;
           for l = 0 to n - 1 do
-            states.(l) <- mat_row ys l :: states.(l)
-          done
+            for j = 0 to d - 1 do
+              out.(l).((!step * d) + j) <- Mat.get ys l j
+            done
+          done;
+          incr step
         in
-        let theta_cols = theta_width di thetas in
-        (* constant θ: fill the rows once, before the first stage *)
-        let primed = ref false in
-        let theta_at _t _xs ths =
-          if not !primed then begin
-            primed := true;
-            fill_thetas ths thetas
-          end
-        in
-        lockstep_run ?par di plan ~theta_at ~theta_cols ~record ~x0 ~horizon
-          ~dt ~n;
-        Array.map
-          (fun rev ->
-            let sts = Array.of_list (List.rev rev) in
-            Ode.Traj.of_arrays (Array.of_list (List.rev !times)) sts)
-          states
+        lockstep_run di plan ~theta_at:(constant_thetas thetas)
+          ~theta_cols:(theta_width di thetas) ~record ~x0s ~horizon ~dt;
+        if Obs.enabled obs then Obs.count obs "ode.steps" (n * (n_t - 1));
+        out
+
+let integrate_constant_batch di ~(thetas : Vec.t array) ~x0 ~horizon ~dt =
+  let d = di.dim in
+  let lanes =
+    integrate_constant_lanes di ~obs:Obs.off ~thetas
+      ~x0s:(Array.make (Array.length thetas) x0)
+      ~horizon ~dt
+  in
+  let times = grid_times ~horizon ~dt in
+  Array.map
+    (fun states ->
+      Ode.Traj.of_arrays times
+        (Array.init (Array.length times) (fun s -> Array.sub states (s * d) d)))
+    lanes
 
 let integrate_to_constant_batch ?par di ~(thetas : Vec.t array) ~x0 ~horizon
     ~dt =
@@ -179,16 +219,9 @@ let integrate_to_constant_batch ?par di ~(thetas : Vec.t array) ~x0 ~horizon
     | Some plan ->
         let last = ref None in
         let record _t ys = last := Some ys in
-        let theta_cols = theta_width di thetas in
-        let primed = ref false in
-        let theta_at _t _xs ths =
-          if not !primed then begin
-            primed := true;
-            fill_thetas ths thetas
-          end
-        in
-        lockstep_run ?par di plan ~theta_at ~theta_cols ~record ~x0 ~horizon
-          ~dt ~n;
+        lockstep_run ?par di plan ~theta_at:(constant_thetas thetas)
+          ~theta_cols:(theta_width di thetas) ~record ~x0s:(Array.make n x0)
+          ~horizon ~dt;
         let ys = match !last with Some m -> m | None -> assert false in
         Array.init n (fun l -> mat_row ys l)
 
@@ -215,8 +248,8 @@ let integrate_control_batch ?par di
             done
           done
         in
-        lockstep_run ?par di plan ~theta_at ~theta_cols ~record ~x0 ~horizon
-          ~dt ~n;
+        lockstep_run ?par di plan ~theta_at ~theta_cols ~record
+          ~x0s:(Array.make n x0) ~horizon ~dt;
         let ys = match !last with Some m -> m | None -> assert false in
         Array.init n (fun l -> mat_row ys l)
 

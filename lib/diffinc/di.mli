@@ -22,6 +22,11 @@ type t = {
           whole point grids through it whenever it is present, without
           changing results; {!Hull} takes its face bounds from the
           plan's interval mode and needs it. *)
+  jac_plan : Tape.Plan.t option;
+      (** The plan of ∂f/∂x that [jacobian] evaluates (d² outputs,
+          row-major: output [i·d + j] is ∂f_i/∂x_j).  Only {!of_model}
+          sets it; {!Pontryagin}'s costate sweep reads it when [plan]
+          is present too. *)
 }
 
 val make :
@@ -43,7 +48,8 @@ val of_population : ?jacobian:(Vec.t -> Vec.t -> Mat.t) -> Umf_meanfield.Populat
 val of_model : Umf_meanfield.Model.t -> t
 (** The differential inclusion of a symbolic model: compiled drift,
     θ-box, the {e exact} symbolic Jacobian (Pontryagin costates free
-    of finite-difference error), and the drift's batch plan. *)
+    of finite-difference error), and the plans of the drift and of
+    that Jacobian. *)
 
 val integrate_constant :
   ?obs:Umf_obs.Obs.t ->
@@ -80,14 +86,31 @@ val integrate_control :
     applied; sequential when omitted). *)
 
 val integrate_constant_batch :
-  ?par:Tape.Plan.runner ->
   t ->
   thetas:Vec.t array ->
   x0:Vec.t ->
   horizon:float ->
   dt:float ->
   Ode.Traj.t array
-(** One trajectory per parameter vector, from the shared [x0]. *)
+(** One trajectory per parameter vector, from the shared [x0]: the
+    lanes of {!integrate_constant_lanes}, unobserved. *)
+
+val integrate_constant_lanes :
+  t ->
+  obs:Umf_obs.Obs.t ->
+  thetas:Vec.t array ->
+  x0s:Vec.t array ->
+  horizon:float ->
+  dt:float ->
+  float array array
+(** Lane [l] runs under the constant parameter [thetas.(l)] from its
+    own start [x0s.(l)]; the result holds its states on the shared
+    grid, flattened: state [s] at [s * dim].  Each lane equals its
+    {!integrate_constant} twin bit for bit.  With a {!plan} the lanes
+    advance in lockstep, reading the clock ([Obs.checkpoint]) at every
+    step and adding lanes × steps to the ["ode.steps"] counter;
+    without one each lane is an {!integrate_constant} under [obs].
+    @raise Invalid_argument if [thetas] and [x0s] differ in length. *)
 
 val integrate_to_constant_batch :
   ?par:Tape.Plan.runner ->

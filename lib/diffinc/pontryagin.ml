@@ -67,6 +67,77 @@ let backward di ~c ~h ~control xs ps =
         ps.(i + 1)
   done
 
+(* The same two sweeps over the compiled drift and Jacobian plans, into
+   preallocated buffers: the float operations of [forward] /
+   [Ode.rk4_step] and [backward] term for term, in the same order.  The
+   costate stage is (∂f/∂x)ᵀ p formed straight from the row-major
+   Jacobian buffer ([Mat.tmulv]'s sum); [backward]'s two negations
+   cancel exactly, so neither is taken.  [xs] and [ps] must hold
+   distinct vectors, which the sweeps overwrite. *)
+let compiled_sweeps ~d plan jac_plan =
+  let k1 = Vec.zeros d and k2 = Vec.zeros d and k3 = Vec.zeros d
+  and k4 = Vec.zeros d and tmp = Vec.zeros d and x = Vec.zeros d
+  and jac = Vec.zeros (d * d) in
+  (* tmp := a * k + y *)
+  let axpy a k y =
+    for j = 0 to d - 1 do
+      tmp.(j) <- (a *. k.(j)) +. y.(j)
+    done
+  in
+  (* into := y + (h/6)(k1 + 2 k2 + 2 k3 + k4) *)
+  let combine h y into =
+    for j = 0 to d - 1 do
+      into.(j) <-
+        y.(j)
+        +. ((h /. 6.) *. (k1.(j) +. (2. *. k2.(j)) +. (2. *. k3.(j)) +. k4.(j)))
+    done
+  in
+  let forward ~x0 ~h ~control xs =
+    Vec.blit x0 ~into:xs.(0);
+    for i = 0 to Array.length control - 1 do
+      let th = control.(i) and y = xs.(i) in
+      Tape.Plan.run plan ~x:y ~th ~out:k1;
+      axpy (h /. 2.) k1 y;
+      Tape.Plan.run plan ~x:tmp ~th ~out:k2;
+      axpy (h /. 2.) k2 y;
+      Tape.Plan.run plan ~x:tmp ~th ~out:k3;
+      axpy h k3 y;
+      Tape.Plan.run plan ~x:tmp ~th ~out:k4;
+      combine h y xs.(i + 1)
+    done
+  in
+  (* out := (∂f/∂x)ᵀ p at the state lerp x_hi x_lo s *)
+  let costate ~x_hi ~x_lo ~th s p out =
+    for j = 0 to d - 1 do
+      x.(j) <- ((1. -. s) *. x_hi.(j)) +. (s *. x_lo.(j))
+    done;
+    Tape.Plan.run jac_plan ~x ~th ~out:jac;
+    for j = 0 to d - 1 do
+      let acc = ref 0. in
+      for i = 0 to d - 1 do
+        acc := !acc +. (jac.((i * d) + j) *. p.(i))
+      done;
+      out.(j) <- !acc
+    done
+  in
+  let backward ~c ~h ~control xs ps =
+    let k = Array.length control in
+    Vec.blit c ~into:ps.(k);
+    for i = k - 1 downto 0 do
+      let th = control.(i) and x_lo = xs.(i) and x_hi = xs.(i + 1) in
+      let p = ps.(i + 1) in
+      costate ~x_hi ~x_lo ~th 0. p k1;
+      axpy (h /. 2.) k1 p;
+      costate ~x_hi ~x_lo ~th 0.5 tmp k2;
+      axpy (h /. 2.) k2 p;
+      costate ~x_hi ~x_lo ~th 0.5 tmp k3;
+      axpy h k3 p;
+      costate ~x_hi ~x_lo ~th 1. tmp k4;
+      combine h p ps.(i)
+    done
+  in
+  (forward, backward)
+
 let solve ?(steps = 400) ?(max_iter = 200) ?(tol = 1e-4) ?(relax = 0.5)
     ?(opt = `Vertices) ?(check = false) ?(obs = Obs.off) di ~x0 ~horizon
     ~sense obj =
@@ -80,8 +151,15 @@ let solve ?(steps = 400) ?(max_iter = 200) ?(tol = 1e-4) ?(relax = 0.5)
   let times = Array.init (steps + 1) (fun i -> float_of_int i *. h) in
   let mid = Optim.Box.midpoint di.Di.theta in
   let control = Array.init steps (fun _ -> Vec.copy mid) in
-  let xs = Array.make (steps + 1) (Vec.zeros di.Di.dim) in
-  let ps = Array.make (steps + 1) (Vec.zeros di.Di.dim) in
+  let xs = Array.init (steps + 1) (fun _ -> Vec.zeros di.Di.dim) in
+  let ps = Array.init (steps + 1) (fun _ -> Vec.zeros di.Di.dim) in
+  (* the compiled sweeps need both plans; a DI stripped of its drift
+     plan runs the scalar ones *)
+  let forward, backward =
+    match (di.Di.plan, di.Di.jac_plan) with
+    | Some plan, Some jac_plan -> compiled_sweeps ~d:di.Di.dim plan jac_plan
+    | _ -> (forward di, backward di)
+  in
   (* each update_control call evaluates the Hamiltonian arg max once
      per grid interval *)
   let update_calls = ref 0 in
@@ -91,9 +169,11 @@ let solve ?(steps = 400) ?(max_iter = 200) ?(tol = 1e-4) ?(relax = 0.5)
         (* compiled drift + vertex enumeration: evaluate the drift at
            every (interval midpoint, Θ-vertex) pair in ONE batched
            sweep per call, then replay [Optim.argmax_vertices]'s
-           keep-first fold per interval.  H = f·p uses [Vec.dot] on the
-           batched drift rows, so each interval's arg max is bitwise
-           the scalar [Di.argmax_hamiltonian]. *)
+           keep-first fold per interval.  H = f·p sums each batched
+           drift row against p in place, in [Vec.dot]'s order, so each
+           interval's arg max is bitwise the scalar
+           [Di.argmax_hamiltonian]; the midpoints and the relaxed
+           control are [Vec.lerp]'s arithmetic, written in place. *)
         let d = di.Di.dim in
         let verts = Array.of_list (Optim.Box.vertices di.Di.theta) in
         let nv = Array.length verts in
@@ -109,36 +189,41 @@ let solve ?(steps = 400) ?(max_iter = 200) ?(tol = 1e-4) ?(relax = 0.5)
         done;
         let xs_mat = Mat.zeros rows d in
         let fout = Mat.zeros rows d in
-        let frow = Vec.zeros d in
+        let xd = Mat.data xs_mat and fd = Mat.data fout in
+        let p = Vec.zeros d in
+        (* [Vec.lerp a b 0.5] at coordinate j (1 - 0.5 is exactly 0.5) *)
+        let midpoint a b j = (0.5 *. a.(j)) +. (0.5 *. b.(j)) in
         fun ~relax ->
           incr update_calls;
           for i = 0 to steps - 1 do
-            let x = Vec.lerp xs.(i) xs.(i + 1) 0.5 in
-            for v = 0 to nv - 1 do
-              let r = (i * nv) + v in
-              for j = 0 to d - 1 do
-                Mat.set xs_mat r j x.(j)
+            for j = 0 to d - 1 do
+              let x = midpoint xs.(i) xs.(i + 1) j in
+              for v = 0 to nv - 1 do
+                xd.((((i * nv) + v) * d) + j) <- x
               done
             done
           done;
           Tape.Plan.run_batch plan ~xs:xs_mat ~ths ~out:fout;
           for i = 0 to steps - 1 do
-            let p = Vec.lerp ps.(i) ps.(i + 1) 0.5 in
-            let best = ref None in
-            for v = 0 to nv - 1 do
-              let r = (i * nv) + v in
-              for j = 0 to d - 1 do
-                frow.(j) <- Mat.get fout r j
-              done;
-              let hx = Vec.dot frow p in
-              match !best with
-              | Some (_, fb) when fb >= hx -> ()
-              | _ -> best := Some (v, hx)
+            for j = 0 to d - 1 do
+              p.(j) <- midpoint ps.(i) ps.(i + 1) j
             done;
-            let star =
-              match !best with Some (v, _) -> verts.(v) | None -> assert false
-            in
-            control.(i) <- Vec.lerp control.(i) star relax
+            let best = ref (-1) and best_h = ref Float.nan in
+            for v = 0 to nv - 1 do
+              let r = ((i * nv) + v) * d in
+              let hx = ref 0. in
+              for j = 0 to d - 1 do
+                hx := !hx +. (fd.(r + j) *. p.(j))
+              done;
+              if !best < 0 || not (!best_h >= !hx) then begin
+                best := v;
+                best_h := !hx
+              end
+            done;
+            let star = verts.(!best) and ci = control.(i) in
+            for j = 0 to Vec.dim ci - 1 do
+              ci.(j) <- ((1. -. relax) *. ci.(j)) +. (relax *. star.(j))
+            done
           done
     | _ ->
         fun ~relax ->
@@ -163,7 +248,7 @@ let solve ?(steps = 400) ?(max_iter = 200) ?(tol = 1e-4) ?(relax = 0.5)
   let best_control = Array.map Vec.copy control in
   while (not !converged) && !iterations < max_iter do
     incr iterations;
-    forward di ~x0 ~h ~control xs;
+    forward ~x0 ~h ~control xs;
     let v = value () in
     if check && not (Float.is_finite v) then
       failwith
@@ -172,7 +257,7 @@ let solve ?(steps = 400) ?(max_iter = 200) ?(tol = 1e-4) ?(relax = 0.5)
            !iterations);
     if v > !best_value then begin
       best_value := v;
-      Array.iteri (fun i ci -> best_control.(i) <- Vec.copy ci) control
+      Array.iteri (fun i ci -> Vec.blit ci ~into:best_control.(i)) control
     end;
     window.((!iterations - 1) mod Array.length window) <- v;
     if !iterations >= Array.length window then begin
@@ -181,22 +266,22 @@ let solve ?(steps = 400) ?(max_iter = 200) ?(tol = 1e-4) ?(relax = 0.5)
       if wmax -. wmin <= tol *. Float.max 1. (Float.abs v) then
         converged := true
     end;
-    backward di ~c ~h ~control xs ps;
+    backward ~c ~h ~control xs ps;
     update_control ~relax
   done;
-  Array.blit (Array.map Vec.copy best_control) 0 control 0 steps;
-  forward di ~x0 ~h ~control xs;
-  backward di ~c ~h ~control xs ps;
+  Array.iteri (fun i bi -> Vec.blit bi ~into:control.(i)) best_control;
+  forward ~x0 ~h ~control xs;
+  backward ~c ~h ~control xs ps;
   (* snap to the pure bang-bang argmax control; keep the snap unless it
      loses more than the discretisation tolerance *)
   update_control ~relax:1.0;
-  forward di ~x0 ~h ~control xs;
+  forward ~x0 ~h ~control xs;
   if value () < !best_value -. (tol *. Float.max 1. (Float.abs !best_value))
   then begin
-    Array.blit (Array.map Vec.copy best_control) 0 control 0 steps;
-    forward di ~x0 ~h ~control xs
+    Array.iteri (fun i bi -> Vec.blit bi ~into:control.(i)) best_control;
+    forward ~x0 ~h ~control xs
   end;
-  backward di ~c ~h ~control xs ps;
+  backward ~c ~h ~control xs ps;
   let signed = value () in
   let value = match sense with `Max -> signed | `Min -> -.signed in
   if on then begin

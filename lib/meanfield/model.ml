@@ -135,6 +135,8 @@ let drift_tape m = Tape.Plan.tape m.drift_plan
 
 let drift_plan m = m.drift_plan
 
+let jac_plan m = m.jac_plan
+
 let drift_into m ~x ~th ~out = Tape.Plan.run m.drift_plan ~x ~th ~out
 
 let drift m x th = Tape.Plan.run_alloc m.drift_plan ~x ~th

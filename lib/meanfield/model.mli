@@ -101,6 +101,10 @@ val drift_into : t -> x:Vec.t -> th:Vec.t -> out:Vec.t -> unit
 val jacobian : t -> Vec.t -> Vec.t -> Mat.t
 (** Exact ∂f/∂x from symbolic differentiation, compiled. *)
 
+val jac_plan : t -> Tape.Plan.t
+(** The plan {!jacobian} evaluates: d² outputs, row-major, output
+    [i·d + j] = ∂f_i/∂x_j. *)
+
 val theta_jacobian : t -> Vec.t -> Vec.t -> Mat.t
 (** Exact ∂f/∂θ. *)
 

@@ -5,32 +5,153 @@ let cross (ox, oy) (ax, ay) (bx, by) =
 
 let dist (ax, ay) (bx, by) = Float.hypot (bx -. ax) (by -. ay)
 
+(* [Float.compare] without the C call: NaN equals NaN and sorts below
+   every other float, 0. equals -0. *)
+let[@inline] float_compare (a : float) b =
+  if a < b then -1
+  else if a > b then 1
+  else if a = b then 0
+  else Bool.compare (a = a) (b = b)
+
+(* (x, y) lexicographic under [float_compare] *)
+let[@inline] compare_points (xs : float array) (ys : float array) i j =
+  let c = float_compare xs.(i) xs.(j) in
+  if c <> 0 then c else float_compare ys.(i) ys.(j)
+
+(* Indices of the points (xs.(i), ys.(i)) sorted by (x, y) under
+   [Float.compare], one per class of equal points.  The recursion
+   transcribes [List.sort_uniq]'s merge tree -- the same split sizes,
+   the same two- and three-point base cases, and merges that keep the
+   left run's point on a tie -- so the surviving point of each class is
+   the one [List.sort_uniq compare] keeps on the point list (it matters
+   only for 0. against -0. and for NaN payloads). *)
+let sort_uniq_indices xs ys =
+  let n = Array.length xs in
+  let idx = Array.init n Fun.id and tmp = Array.make n 0 in
+  (* the kept indices of a base case, written from [lo]; their count *)
+  let put1 lo a =
+    idx.(lo) <- a;
+    1
+  in
+  let put2 lo a b =
+    idx.(lo) <- a;
+    idx.(lo + 1) <- b;
+    2
+  in
+  let put3 lo a b c =
+    idx.(lo) <- a;
+    idx.(lo + 1) <- b;
+    idx.(lo + 2) <- c;
+    3
+  in
+  (* sorts idx.(lo) .. idx.(lo + len - 1) in place, leaving the kept
+     indices at the front; returns their count *)
+  let rec sort lo len =
+    let x1 = idx.(lo) and x2 = idx.(lo + 1) in
+    if len = 2 then
+      let c = compare_points xs ys x1 x2 in
+      if c = 0 then put1 lo x1
+      else if c < 0 then put2 lo x1 x2
+      else put2 lo x2 x1
+    else if len = 3 then
+      let x3 = idx.(lo + 2) in
+      let c = compare_points xs ys x1 x2 in
+      if c = 0 then
+        let c = compare_points xs ys x2 x3 in
+        if c = 0 then put1 lo x2
+        else if c < 0 then put2 lo x2 x3
+        else put2 lo x3 x2
+      else if c < 0 then
+        let c = compare_points xs ys x2 x3 in
+        if c = 0 then put2 lo x1 x2
+        else if c < 0 then put3 lo x1 x2 x3
+        else
+          let c = compare_points xs ys x1 x3 in
+          if c = 0 then put2 lo x1 x2
+          else if c < 0 then put3 lo x1 x3 x2
+          else put3 lo x3 x1 x2
+      else
+        let c = compare_points xs ys x1 x3 in
+        if c = 0 then put2 lo x2 x1
+        else if c < 0 then put3 lo x2 x1 x3
+        else
+          let c = compare_points xs ys x2 x3 in
+          if c = 0 then put2 lo x2 x1
+          else if c < 0 then put3 lo x2 x3 x1
+          else put3 lo x3 x2 x1
+    else begin
+      let n1 = len asr 1 in
+      let k1 = sort lo n1 and k2 = sort (lo + n1) (len - n1) in
+      let ie = lo + k1 and je = lo + n1 + k2 in
+      let i = ref lo and j = ref (lo + n1) and k = ref lo in
+      while !i < ie && !j < je do
+        let a = idx.(!i) and b = idx.(!j) in
+        let c = compare_points xs ys a b in
+        if c <= 0 then begin
+          tmp.(!k) <- a;
+          incr i;
+          if c = 0 then incr j
+        end
+        else begin
+          tmp.(!k) <- b;
+          incr j
+        end;
+        incr k
+      done;
+      (* one run is exhausted: the other's tail follows as it is *)
+      let rest, stop = if !i < ie then (!i, ie) else (!j, je) in
+      Array.blit idx rest tmp !k (stop - rest);
+      let kept = !k + (stop - rest) - lo in
+      Array.blit tmp lo idx lo kept;
+      kept
+    end
+  in
+  if n < 2 then idx else Array.sub idx 0 (sort 0 n)
+
+(* Andrew's monotone chain over the sorted distinct points: [half]
+   pushes each point onto a stack after popping every top point that is
+   not a strict left turn (non-positive [cross]); the lower and upper
+   chains each end with the first point of the other, which is dropped.
+   The bottom point is never popped, so with three or more points each
+   chain keeps at least two. *)
+let convex_hull_indices xs ys =
+  if Array.length ys <> Array.length xs then
+    invalid_arg "Geometry.convex_hull_indices: xs and ys differ in length";
+  let pts = sort_uniq_indices xs ys in
+  let m = Array.length pts in
+  if m <= 2 then pts
+  else begin
+    (* the sorted points' coordinates, in order; the chains hold
+       positions in that order *)
+    let sx = Array.map (fun i -> xs.(i)) pts
+    and sy = Array.map (fun i -> ys.(i)) pts in
+    (* [cross] on the sorted points at positions o, a and b *)
+    let turn o a b =
+      ((sx.(a) -. sx.(o)) *. (sy.(b) -. sy.(o)))
+      -. ((sy.(a) -. sy.(o)) *. (sx.(b) -. sx.(o)))
+    in
+    let stack = Array.make m 0 in
+    let half position =
+      let top = ref 0 in
+      for k = 0 to m - 1 do
+        let p = position k in
+        while !top >= 2 && turn stack.(!top - 2) stack.(!top - 1) p <= 0. do
+          decr top
+        done;
+        stack.(!top) <- p;
+        incr top
+      done;
+      Array.sub stack 0 (!top - 1)
+    in
+    Array.map
+      (fun k -> pts.(k))
+      (Array.append (half Fun.id) (half (fun k -> m - 1 - k)))
+  end
+
 let convex_hull points =
-  let pts = List.sort_uniq compare points in
-  match pts with
-  | [] | [ _ ] | [ _; _ ] -> pts
-  | _ ->
-      (* Andrew's monotone chain.  [half] folds the sorted points into
-         one hull chain, kept in reverse order; a non-positive cross
-         product means the middle point is not a strict left turn and
-         is popped. *)
-      let half input =
-        List.fold_left
-          (fun acc p ->
-            let rec pop = function
-              | a :: b :: rest when cross b a p <= 0. -> pop (b :: rest)
-              | l -> l
-            in
-            p :: pop acc)
-          [] input
-      in
-      let lower = half pts in
-      let upper = half (List.rev pts) in
-      (* each chain ends (in reverse order, starts) with the first
-         point of the other chain; drop one endpoint from each *)
-      let strip = function [] -> [] | _ :: tl -> tl in
-      let hull = List.rev (strip lower) @ List.rev (strip upper) in
-      if hull = [] then pts else hull
+  let pts = Array.of_list points in
+  let xs = Array.map fst pts and ys = Array.map snd pts in
+  Array.to_list (Array.map (fun i -> pts.(i)) (convex_hull_indices xs ys))
 
 let polygon_area poly =
   match poly with

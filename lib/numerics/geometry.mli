@@ -13,10 +13,21 @@ val cross : point -> point -> point -> float
 
 val dist : point -> point -> float
 
+val convex_hull_indices : float array -> float array -> int array
+(** [convex_hull_indices xs ys] is the convex hull of the points
+    [(xs.(i), ys.(i))] as indices into them, counter-clockwise from the
+    smallest point: Andrew's monotone chain over the points sorted by
+    [(x, y)] under [Float.compare] with duplicates dropped.  Collinear
+    points on the hull boundary are dropped; degenerate inputs (fewer
+    than 3 distinct points) return the distinct points in sorted order.
+    The indices depend on the input order only through which of several
+    equal points ([0.] and [-0.], or NaNs) is kept: the one
+    [List.sort_uniq compare] keeps on the point list.
+    @raise Invalid_argument if [xs] and [ys] differ in length. *)
+
 val convex_hull : point list -> point list
-(** Andrew's monotone chain; collinear points on the hull boundary are
-    dropped.  Degenerate inputs (fewer than 3 distinct points) return
-    the distinct points. *)
+(** {!convex_hull_indices} on a point list: the hull's points, taken
+    from the list. *)
 
 val polygon_area : point list -> float
 (** Absolute area by the shoelace formula. *)

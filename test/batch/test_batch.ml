@@ -84,15 +84,17 @@ let test_model (name, m) () =
         [ 2; 4 ])
     (plans_of m)
 
-(* Solver-level A/B: the batched fast paths activate when [Di.t]
-   carries a plan and fall back to the scalar loops when it does not.
-   Both must produce the same answer BIT FOR BIT — that is the whole
-   determinism story of the batched Pontryagin sweeps, uncertainty
-   grids and reachability clouds. *)
+(* Solver-level A/B: the batched and compiled fast paths activate when
+   [Di.t] carries a plan and fall back to the scalar loops when it does
+   not.  Both must produce the same answer BIT FOR BIT — that is the
+   whole determinism story of the compiled Pontryagin sweeps, the
+   lockstep Birkhoff escapes, uncertainty grids and reachability
+   clouds. *)
 module Di = Umf_diffinc.Di
 module Pontryagin = Umf_diffinc.Pontryagin
 module Uncertain = Umf_diffinc.Uncertain
 module Reach = Umf_diffinc.Reach
+module Birkhoff = Umf_diffinc.Birkhoff
 
 let vec_eq =
   Alcotest.testable
@@ -101,23 +103,52 @@ let vec_eq =
       Vec.dim a = Vec.dim b
       && Array.for_all2 (fun x y -> x = y || (Float.is_nan x && Float.is_nan y)) a b)
 
-let dis () =
-  let m = Umf_models.Registry.find_exn "sir" in
+let dis_of name =
+  let m = Umf_models.Registry.find_exn name in
   let di = Di.of_model m in
   (di, { di with Di.plan = None }, m)
 
+let dis () = dis_of "sir"
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* every registry model in the shape of a served Pontryagin request:
+   60 steps, the last coordinate, two horizons *)
 let test_pontryagin_ab () =
-  let di, di_scalar, m = dis () in
-  let x0 = Model.x0 m in
-  let times = [| 0.5; 1.5 |] in
-  let s = Pontryagin.bound_series ~steps:60 di ~x0 ~coord:1 ~times in
-  let s' = Pontryagin.bound_series ~steps:60 di_scalar ~x0 ~coord:1 ~times in
-  Array.iteri
-    (fun i (lo, hi) ->
-      let lo', hi' = s'.(i) in
-      Alcotest.(check (float 0.)) (Printf.sprintf "min %d" i) lo' lo;
-      Alcotest.(check (float 0.)) (Printf.sprintf "max %d" i) hi' hi)
-    s
+  List.iter
+    (fun (name, _) ->
+      let di, di_scalar, m = dis_of name in
+      let x0 = Model.x0 m and coord = Model.dim m - 1 in
+      let times = [| 0.5; 1.5 |] in
+      let s = Pontryagin.bound_series ~steps:60 di ~x0 ~coord ~times in
+      let s' = Pontryagin.bound_series ~steps:60 di_scalar ~x0 ~coord ~times in
+      Array.iteri
+        (fun i (lo, hi) ->
+          let lo', hi' = s'.(i) in
+          if not (same_bits lo lo' && same_bits hi hi') then
+            Alcotest.failf
+              "%s t=%g: compiled [%.17g, %.17g] <> scalar [%.17g, %.17g]" name
+              times.(i) lo hi lo' hi')
+        s)
+    (Umf_models.Registry.all ())
+
+(* the stripped DI runs every escape as its own scalar integration *)
+let test_birkhoff_ab () =
+  let di, di_scalar, _ = dis () in
+  let x_start = [| 0.4904; 0.2943 |] in
+  let r = Birkhoff.compute di ~x_start in
+  let r' = Birkhoff.compute di_scalar ~x_start in
+  Alcotest.(check int) "iterations" r'.Birkhoff.iterations
+    r.Birkhoff.iterations;
+  Alcotest.(check int) "vertices" (List.length r'.Birkhoff.polygon)
+    (List.length r.Birkhoff.polygon);
+  List.iteri
+    (fun k ((x, y), (x', y')) ->
+      if not (same_bits x x' && same_bits y y') then
+        Alcotest.failf
+          "vertex %d: lockstep (%.17g, %.17g) <> scalar (%.17g, %.17g)" k x y
+          x' y')
+    (List.combine r.Birkhoff.polygon r'.Birkhoff.polygon)
 
 let test_uncertain_ab () =
   let di, di_scalar, m = dis () in
@@ -154,5 +185,6 @@ let () =
           Alcotest.test_case "pontryagin series" `Quick test_pontryagin_ab;
           Alcotest.test_case "uncertain envelope" `Quick test_uncertain_ab;
           Alcotest.test_case "reach cloud" `Quick test_reach_ab;
+          Alcotest.test_case "birkhoff region" `Quick test_birkhoff_ab;
         ] );
     ]

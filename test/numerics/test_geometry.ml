@@ -123,6 +123,48 @@ let prop_hull_idempotent =
       let h2 = Geometry.convex_hull h1 in
       List.sort compare h1 = List.sort compare h2)
 
+(* clouds on which a chain that fed different points, compared them
+   differently or kept another of two equal points would show: repeated
+   points, exactly collinear integer grids, near-collinear runs along a
+   line whose points round off it, and 0. against -0. *)
+let cloud_gen =
+  QCheck.Gen.(
+    let coord = float_range (-10.) 10. in
+    let random = list_size (int_range 0 40) (pair coord coord) in
+    let grid =
+      let axis = pair (int_range (-3) 3) bool >|= fun (k, neg) ->
+        if k = 0 && neg then -0. else float_of_int k
+      in
+      list_size (int_range 0 40) (pair axis axis)
+    in
+    let near_line =
+      pair (pair coord coord) (list_size (int_range 0 40) (float_range 0. 1.))
+      |> map (fun ((a, b), ts) ->
+             List.map (fun t -> (t, (a *. t) +. b +. (t *. 1e-16))) ts)
+    in
+    let signed_zeros =
+      list_size (int_range 0 12)
+        (oneofl
+           [ (0., 0.); (-0., 0.); (0., -0.); (-0., -0.); (1., -0.); (-0., 1.) ])
+    in
+    oneof [ random; grid; near_line; signed_zeros ] >>= fun pts ->
+    list_size (int_range 0 10) (oneofl (if pts = [] then [ (0., 0.) ] else pts))
+    >|= fun dups -> pts @ dups @ List.rev pts)
+
+let bitwise_points a b =
+  List.length a = List.length b
+  && List.for_all2
+       (fun (x, y) (x', y') ->
+         Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float x')
+         && Int64.equal (Int64.bits_of_float y) (Int64.bits_of_float y'))
+       a b
+
+let prop_hull_matches_list_chain =
+  QCheck.Test.make ~name:"array chain = list chain, bit for bit" ~count:500
+    (QCheck.make cloud_gen) (fun pts ->
+      bitwise_points (Geometry.convex_hull pts)
+        (Umf_reference.List_hull.convex_hull pts))
+
 let suites =
   [
     ( "geometry",
@@ -142,5 +184,6 @@ let suites =
         Alcotest.test_case "centroid" `Quick test_centroid;
         QCheck_alcotest.to_alcotest prop_hull_contains_all;
         QCheck_alcotest.to_alcotest prop_hull_idempotent;
+        QCheck_alcotest.to_alcotest prop_hull_matches_list_chain;
       ] );
   ]

@@ -391,6 +391,87 @@ let test_hull_requests () =
           "{\"op\":\"hull\",\"model\":\"sir\",\"horizon\":1e999}";
         ])
 
+(* --- pinned solver payloads ------------------------------------------ *)
+
+(* golden/cases.tsv names a request per line; golden/NAME.json holds
+   the {"result":...,"cert":...} bytes the daemon answers.  They were
+   recorded once and are never regenerated, so any change to the
+   arithmetic of a served Pontryagin or Birkhoff solve shows here. *)
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let payload_bytes line =
+  let key = ",\"result\":" in
+  let n = String.length line and k = String.length key in
+  let rec find i =
+    if i + k > n then fail "response lacks a result: %s" line
+    else if String.sub line i k = key then i
+    else find (i + 1)
+  in
+  let i = find 0 in
+  (* the line ends with the cert object and the response's own brace *)
+  "{" ^ String.sub line (i + 1) (n - i - 2) ^ "}\n"
+
+let test_golden_payloads () =
+  let cases =
+    read_file "golden/cases.tsv"
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+    |> List.map (fun l ->
+           match String.split_on_char '\t' l with
+           | [ name; req ] -> (name, req)
+           | _ -> fail "malformed golden case: %s" l)
+  in
+  with_server (fun t ->
+      List.iter2
+        (fun (name, _) line ->
+          if not (bool_member "ok" (parse line)) then
+            fail "golden case %s failed: %s" name line;
+          if payload_bytes line <> read_file ("golden/" ^ name ^ ".json") then
+            fail "golden case %s: payload bytes moved:\n  %s" name line)
+        cases
+        (Serve.process t (List.map snd cases)))
+
+(* non-finite numbers ("1e999" parses to infinity) and negative sample
+   times are refused before any work: an infinite start answers with
+   null rows, and an infinite sample time integrates toward an infinite
+   horizon without reaching a deadline probe *)
+let test_bad_numbers () =
+  with_server (fun t ->
+      List.iter
+        (fun req ->
+          let j = parse (List.hd (Serve.process t [ req ])) in
+          if bool_member "ok" j
+             || str_member "kind" (member "error" j) <> "bad_request"
+          then
+            fail "expected bad_request for %s, got %s" req (Json.to_string j))
+        [
+          "{\"op\":\"steady\",\"model\":\"sir\",\"x_start\":[1e999,0.3]}";
+          "{\"op\":\"hull\",\"model\":\"sir\",\"horizon\":1,\"x0\":[1e999,0]}";
+          "{\"op\":\"bounds\",\"model\":\"sir\",\"coord\":0,\"horizon\":1,\
+           \"scenario\":{\"uncertain\":3},\"times\":[0,1e999],\
+           \"deadline_ms\":2000}";
+          "{\"op\":\"bounds\",\"model\":\"sir\",\"coord\":0,\"horizon\":1,\
+           \"times\":[0,-1]}";
+        ])
+
+(* the lockstep escape rounds read the clock at every step *)
+let test_steady_deadline () =
+  with_server (fun t ->
+      let t0 = Unix.gettimeofday () in
+      let j =
+        parse
+          (List.hd
+             (Serve.process t
+                [ "{\"op\":\"steady\",\"model\":\"sir\",\"deadline_ms\":50}" ]))
+      in
+      let took = Unix.gettimeofday () -. t0 in
+      if bool_member "ok" j
+         || str_member "kind" (member "error" j) <> "deadline_exceeded"
+      then
+        fail "expected deadline_exceeded for steady, got %s" (Json.to_string j);
+      if took > 0.2 then
+        fail "steady with a 50 ms deadline took %.0f ms" (took *. 1000.))
+
 let () =
   test_cache_identity ();
   test_batch_determinism ();
@@ -403,8 +484,12 @@ let () =
   test_long_requests ();
   test_sir3_hull ();
   test_hull_requests ();
+  test_golden_payloads ();
+  test_bad_numbers ();
+  test_steady_deadline ();
   print_endline
     "serve-smoke OK (cache identity, batch determinism, deadline, \
      backpressure, pipe transport, new-op warm hits, fingerprints, ctmc \
      overflow, long-request cap and deadlines, sir3 hull, jsq2 hull in 1 s, \
-     tiny and non-finite hull steps refused)"
+     tiny and non-finite hull steps refused, pinned solver payloads, \
+     non-finite numbers and negative times refused, steady deadline)"
