@@ -11,15 +11,7 @@
    tape, and checks the two determinism claims the consumers rely on:
    the batch kernel is bit-identical to the scalar loop, at every pool
    size.  Results go to BENCH_batch.json; the acceptance budget is a
-   >= 5x speedup on a >= 1024-point SIR drift sweep.
-
-   The solver rows time whole solves with the plan against the same
-   DI stripped of it, which runs the scalar loops: the Birkhoff region
-   of a served [steady] on sir (lockstep escapes against one scalar
-   integration per escape), and on every model the Pontryagin
-   [bound_series] of a served imprecise [bounds] request (compiled
-   sweeps against closure-and-matrix ones).  Each row records both wall
-   times and whether the answers agree bit for bit. *)
+   >= 5x speedup on a >= 1024-point SIR drift sweep. *)
 open Umf
 
 let n_points = 4096
@@ -128,59 +120,6 @@ let pool_scaling () =
     :: List.map (fun (k, j, _) -> (k, j)) rows,
     List.for_all (fun (_, _, b) -> b) rows )
 
-(* the median wall ms of three runs of [f], and its answer *)
-let wall_ms f =
-  let runs = List.init 3 (fun _ -> Common.time_it f) in
-  let ms = List.sort compare (List.map (fun (_, w) -> w *. 1000.) runs) in
-  (fst (List.hd runs), List.nth ms 1)
-
-let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-
-let solver_row name ~plan ~stripped ~equal =
-  let a, plan_ms = wall_ms plan and b, stripped_ms = wall_ms stripped in
-  let bitwise = equal a b in
-  Common.row "%-24s %10.1f %10.1f %8.2fx %s\n" name plan_ms stripped_ms
-    (stripped_ms /. plan_ms)
-    (if bitwise then "bitwise" else "DIVERGES");
-  ( name,
-    Obs.Json.Obj
-      [
-        ("plan_ms", Obs.Json.Num plan_ms);
-        ("stripped_ms", Obs.Json.Num stripped_ms);
-        ("bitwise_identical", Obs.Json.Bool bitwise);
-      ],
-    bitwise )
-
-let stripped di = { di with Di.plan = None }
-
-(* a served steady request on sir at the default start *)
-let steady_row () =
-  let m = Registry.find_exn "sir" in
-  let di = Di.of_model m and x_start = Model.x0 m in
-  let polygon di () = (Birkhoff.compute di ~x_start).Birkhoff.polygon in
-  solver_row "steady sir" ~plan:(polygon di) ~stripped:(polygon (stripped di))
-    ~equal:(fun a b ->
-      List.length a = List.length b
-      && List.for_all2
-           (fun (x, y) (x', y') -> same_bits x x' && same_bits y y')
-           a b)
-
-(* the design of a served imprecise bounds request: registry models
-   alternate between the first coordinate over 1.5 in 60 steps and the
-   last over 2.5 in 120, sampled at 11 times *)
-let pontryagin_row k (name, m) =
-  let coord, steps, horizon =
-    if k mod 2 = 0 then (0, 60, 1.5) else (Model.dim m - 1, 120, 2.5)
-  in
-  let di = Di.of_model m and x0 = Model.x0 m in
-  let times = Vec.linspace 0. horizon 11 in
-  let series di () = Pontryagin.bound_series ~steps di ~x0 ~coord ~times in
-  solver_row ("bound_series " ^ name) ~plan:(series di)
-    ~stripped:(series (stripped di))
-    ~equal:
-      (Array.for_all2 (fun (lo, hi) (lo', hi') ->
-           same_bits lo lo' && same_bits hi hi'))
-
 let run () =
   Common.banner "BATCH: SoA batch kernel vs per-point tape evaluation";
   Common.header [ "model"; "scalar_ns"; "batch_ns"; "speedup"; "identity" ];
@@ -202,14 +141,6 @@ let run () =
   Common.claim "batch bit-identical to scalar loop at every pool size"
     all_bitwise
     (if all_bitwise then "all models, seq/2/4 domains" else "DIVERGENCE");
-  Common.header [ "solver"; "plan_ms"; "stripped_ms"; "speedup"; "identity" ];
-  let steady = steady_row () in
-  let solvers = steady :: List.mapi pontryagin_row (Registry.all ()) in
-  let solvers_bitwise = List.for_all (fun (_, _, b) -> b) solvers in
-  Common.claim "compiled solvers bit-identical to the stripped DI"
-    solvers_bitwise
-    (if solvers_bitwise then "steady sir, every model's bound_series"
-     else "DIVERGENCE");
   let oc = open_out "BENCH_batch.json" in
   output_string oc
     (Obs.Json.to_string
@@ -224,8 +155,6 @@ let run () =
             ( "models",
               Obs.Json.Obj (List.map (fun (n, j, _) -> (n, j)) rows) );
             ("sir_pool_scaling", Obs.Json.Obj scaling);
-            ( "solvers",
-              Obs.Json.Obj (List.map (fun (n, j, _) -> (n, j)) solvers) );
           ]));
   output_char oc '\n';
   close_out oc;

@@ -8,7 +8,8 @@
    - the deleted hand-written closures.  For every model those were
      per-transition rate closures consumed through the
      [Population.drift] fold — reconstructed verbatim below — which
-     is the drift the solvers actually called via [Di.of_population].
+     is the drift the solvers called through the closure inclusion
+     that [Di.of_model] replaced.
      SIR additionally had a bespoke Eq. (11) closed form; it is
      reported as a reference row (a two-line float expression kept in
      registers is the hard floor no interpreted representation can

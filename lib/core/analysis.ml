@@ -50,11 +50,28 @@ let spec ?(scenario = Imprecise) ?theta ?(horizon = 10.) ?(steps = 400)
   positive "tol" tol;
   (match scenario with
   | Uncertain g when g < 2 -> invalid_arg "Analysis.spec: need grid >= 2"
+  | Uncertain g ->
+      (* the θ grid is built whole before any deadline can stop it, so
+         a fixed cap bounds its points over the effective Θ; a
+         degenerate axis holds one point, as in [Optim.Box.sample_grid] *)
+      let box = Option.value theta ~default:(Model.theta model) in
+      let points = ref 1. in
+      Array.iteri
+        (fun j lo ->
+          if lo <> box.Optim.Box.hi.(j) then
+            points := !points *. float_of_int g)
+        box.Optim.Box.lo;
+      if !points > 4096. then
+        invalid_arg
+          (Printf.sprintf
+             "Analysis.spec: an uncertain grid of %d per axis has %g points, \
+              over the limit of 4096"
+             g !points)
   | Piecewise k when k < 1 || k > 64 ->
       (* a fixed cap keeps one search bounded: past the exhaustive
          range its cost grows linearly in k *)
       invalid_arg "Analysis.spec: need 1 <= pieces <= 64"
-  | Uncertain _ | Piecewise _ | Imprecise -> ());
+  | Piecewise _ | Imprecise -> ());
   { model; scenario; theta; horizon; steps; dt; tol; pool; obs }
 
 let di_of_spec s =

@@ -57,7 +57,9 @@ val spec :
 (** Smart constructor with the defaults above.
     @raise Invalid_argument unless horizon, dt and tol are finite and
     positive (NaN is refused), on steps below 1, an [Uncertain] grid
-    below 2 or a [Piecewise] count outside [1, 64]. *)
+    below 2 or with more than 4096 points over the effective Θ (a
+    degenerate axis counts one), or a [Piecewise] count outside
+    [1, 64]. *)
 
 val di_of_spec : spec -> Umf_diffinc.Di.t
 (** The mean-field differential inclusion the spec denotes (with the

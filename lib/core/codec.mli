@@ -45,7 +45,8 @@
     envelope)
     v}
     plus the service ops ["ping"], ["metrics"], ["models"] which take
-    no model.  A [{"piecewise":K}] scenario takes 1 <= K <= 64; op
+    no model.  A [{"piecewise":K}] scenario takes 1 <= K <= 64 and a
+    [{"uncertain":G}] grid at most 4096 points over Θ; op
     fields an op does not use leave its {!fingerprint} unchanged.
 
     [umf_cli] subcommands and the request each one sends:

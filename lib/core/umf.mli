@@ -32,7 +32,6 @@ module Optim = Umf_numerics.Optim
 module Geometry = Umf_numerics.Geometry
 module Rng = Umf_numerics.Rng
 module Stats = Umf_numerics.Stats
-module Diff = Umf_numerics.Diff
 module Expr = Umf_numerics.Expr
 module Tape = Umf_numerics.Tape
 module Tape_check = Umf_numerics.Tape_check

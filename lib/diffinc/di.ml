@@ -1,41 +1,22 @@
 open Umf_numerics
 module Obs = Umf_obs.Obs
+module Pool = Umf_runtime.Runtime.Pool
 
 type t = {
   dim : int;
   theta : Optim.Box.t;
   drift : Vec.t -> Vec.t -> Vec.t;
-  jacobian : (Vec.t -> Vec.t -> Mat.t) option;
-  plan : Tape.Plan.t option;
-  jac_plan : Tape.Plan.t option;
+  plan : Tape.Plan.t;
+  jac_plan : Tape.Plan.t;
 }
-
-let make ?jacobian ?plan ~dim ~theta drift =
-  if dim <= 0 then invalid_arg "Di.make: need dim > 0";
-  (match plan with
-  | Some p when Tape.n_outputs (Tape.Plan.tape p) <> dim ->
-      invalid_arg "Di.make: plan output count differs from dim"
-  | _ -> ());
-  { dim; theta; drift; jacobian; plan; jac_plan = None }
-
-let of_population ?jacobian (m : Umf_meanfield.Population.t) =
-  {
-    dim = Umf_meanfield.Population.dim m;
-    theta = m.Umf_meanfield.Population.theta;
-    drift = Umf_meanfield.Population.drift m;
-    jacobian;
-    plan = None;
-    jac_plan = None;
-  }
 
 let of_model (m : Umf_meanfield.Model.t) =
   {
     dim = Umf_meanfield.Model.dim m;
     theta = Umf_meanfield.Model.theta m;
     drift = Umf_meanfield.Model.drift m;
-    jacobian = Some (Umf_meanfield.Model.jacobian m);
-    plan = Some (Umf_meanfield.Model.drift_plan m);
-    jac_plan = Some (Umf_meanfield.Model.jac_plan m);
+    plan = Umf_meanfield.Model.drift_plan m;
+    jac_plan = Umf_meanfield.Model.jac_plan m;
   }
 
 let integrate_constant ?obs di ~theta ~x0 ~horizon ~dt =
@@ -47,7 +28,7 @@ let integrate_control ?obs di ~control ~x0 ~horizon ~dt =
     (fun t x -> di.drift x (Optim.Box.clamp di.theta (control t x)))
     ~t0:0. ~y0:x0 ~t1:horizon ~dt
 
-(* ---- lockstep batched integration over a compiled drift plan ----
+(* ---- lockstep batched integration over the compiled drift plan ----
 
    All lanes share the time grid (it never depends on the state), so a
    whole family of selections advances through one RK4 step at a time
@@ -57,7 +38,7 @@ let integrate_control ?obs di ~control ~x0 ~horizon ~dt =
    [combine_rows] the stage combination, [Float.min dt (t1 - t)] the
    step clamp — and the batch kernel is bit-identical to the scalar
    tape, so every lane's trajectory equals its [integrate_constant] /
-   [integrate_control] twin bitwise, for any [par]. *)
+   [integrate_control] twin bitwise. *)
 
 (* tmp := (a * k) + y, per entry (= Vec.axpy_into per lane) *)
 let axpy_rows a (k : Mat.t) (y : Mat.t) (tmp : Mat.t) =
@@ -81,28 +62,29 @@ let combine_rows h (y : Mat.t) k1 k2 k3 k4 =
 
 (* one lockstep RK4 step; [theta_at t xs ths] refreshes the per-lane
    parameter rows at a stage time/state (no-op for constant θ) *)
-let lockstep_step ?par plan ~theta_at ~t ~h ~ys ~ths ~tmp ~k1 ~k2 ~k3 ~k4 =
+let lockstep_step plan ~theta_at ~t ~h ~ys ~ths ~tmp ~k1 ~k2 ~k3 ~k4 =
   theta_at t ys ths;
-  Tape.Plan.run_batch ?par plan ~xs:ys ~ths ~out:k1;
+  Tape.Plan.run_batch plan ~xs:ys ~ths ~out:k1;
   axpy_rows (h /. 2.) k1 ys tmp;
   theta_at (t +. (h /. 2.)) tmp ths;
-  Tape.Plan.run_batch ?par plan ~xs:tmp ~ths ~out:k2;
+  Tape.Plan.run_batch plan ~xs:tmp ~ths ~out:k2;
   axpy_rows (h /. 2.) k2 ys tmp;
   theta_at (t +. (h /. 2.)) tmp ths;
-  Tape.Plan.run_batch ?par plan ~xs:tmp ~ths ~out:k3;
+  Tape.Plan.run_batch plan ~xs:tmp ~ths ~out:k3;
   axpy_rows h k3 ys tmp;
   theta_at (t +. h) tmp ths;
-  Tape.Plan.run_batch ?par plan ~xs:tmp ~ths ~out:k4;
+  Tape.Plan.run_batch plan ~xs:tmp ~ths ~out:k4;
   combine_rows h ys k1 k2 k3 k4
 
 let check_grid ~horizon ~dt =
   if horizon < 0. then invalid_arg "Ode: t1 < t0";
   if dt <= 0. then invalid_arg "Ode: dt <= 0"
 
-(* drive one lane per start state in [x0s] to the horizon; [record t
-   ys] observes the shared time grid exactly as [Ode.integrate] builds
-   it *)
-let lockstep_run ?par di plan ~theta_at ~theta_cols ~record ~x0s ~horizon ~dt =
+(* drive one lane per start state in [x0s] (at least one) to the
+   horizon; [record t ys] sees the shared time grid exactly as
+   [Ode.integrate] builds it, the start included, and the lanes' rows,
+   which the next step overwrites.  Returns the final rows. *)
+let lockstep_run di ~theta_at ~theta_cols ~record ~x0s ~horizon ~dt =
   check_grid ~horizon ~dt;
   let d = di.dim and n = Array.length x0s in
   Array.iter
@@ -119,22 +101,11 @@ let lockstep_run ?par di plan ~theta_at ~theta_cols ~record ~x0s ~horizon ~dt =
   record !t ys;
   while !t < horizon -. 1e-12 do
     let h = Float.min dt (horizon -. !t) in
-    lockstep_step ?par plan ~theta_at ~t:!t ~h ~ys ~ths ~tmp ~k1 ~k2 ~k3 ~k4;
+    lockstep_step di.plan ~theta_at ~t:!t ~h ~ys ~ths ~tmp ~k1 ~k2 ~k3 ~k4;
     t := !t +. h;
     record !t ys
-  done
-
-let mat_row (m : Mat.t) i =
-  let d = Mat.cols m in
-  Array.init d (fun j -> Mat.get m i j)
-
-let fill_thetas (ths : Mat.t) (thetas : Vec.t array) =
-  Array.iteri
-    (fun l th ->
-      for j = 0 to Vec.dim th - 1 do
-        Mat.set ths l j th.(j)
-      done)
-    thetas
+  done;
+  ys
 
 let theta_width di (thetas : Vec.t array) =
   Array.fold_left (fun w th -> Stdlib.max w (Vec.dim th))
@@ -146,8 +117,31 @@ let constant_thetas thetas =
   fun _t _xs ths ->
     if not !primed then begin
       primed := true;
-      fill_thetas ths thetas
+      Array.iteri
+        (fun l th ->
+          for j = 0 to Vec.dim th - 1 do
+            Mat.set ths l j th.(j)
+          done)
+        thetas
     end
+
+let constant_lanes di ~obs ~(thetas : Vec.t array) ~x0s ~horizon ~dt record =
+  let n = Array.length thetas in
+  if Array.length x0s <> n then
+    invalid_arg "Di.constant_lanes: thetas and x0s differ in length";
+  if n = 0 then invalid_arg "Di.constant_lanes: no lanes";
+  let steps = ref (-1) in
+  let ys =
+    lockstep_run di ~theta_at:(constant_thetas thetas)
+      ~theta_cols:(theta_width di thetas)
+      ~record:(fun t ys ->
+        Obs.checkpoint obs;
+        incr steps;
+        record t ys)
+      ~x0s ~horizon ~dt
+  in
+  if Obs.enabled obs then Obs.count obs "ode.steps" (n * !steps);
+  ys
 
 (* the time grid [Ode.integrate] builds from 0 to [horizon] *)
 let grid_times ~horizon ~dt =
@@ -158,105 +152,53 @@ let grid_times ~horizon ~dt =
   done;
   Array.of_list (List.rev !times)
 
-let integrate_constant_lanes di ~obs ~(thetas : Vec.t array) ~x0s ~horizon
-    ~dt =
-  let n = Array.length thetas in
-  if Array.length x0s <> n then
-    invalid_arg "Di.integrate_constant_lanes: thetas and x0s differ in length";
-  if n = 0 then [||]
-  else
-    match di.plan with
-    | None ->
-        Array.map2
-          (fun theta x0 ->
-            let traj = integrate_constant ~obs di ~theta ~x0 ~horizon ~dt in
-            Array.concat (Array.to_list traj.Ode.Traj.states))
-          thetas x0s
-    | Some plan ->
-        check_grid ~horizon ~dt;
-        let d = di.dim and n_t = Array.length (grid_times ~horizon ~dt) in
-        let out = Array.init n (fun _ -> Array.make (n_t * d) 0.) in
-        let step = ref 0 in
-        let record _t ys =
-          Obs.checkpoint obs;
-          for l = 0 to n - 1 do
-            for j = 0 to d - 1 do
-              out.(l).((!step * d) + j) <- Mat.get ys l j
-            done
-          done;
-          incr step
-        in
-        lockstep_run di plan ~theta_at:(constant_thetas thetas)
-          ~theta_cols:(theta_width di thetas) ~record ~x0s ~horizon ~dt;
-        if Obs.enabled obs then Obs.count obs "ode.steps" (n * (n_t - 1));
-        out
+let integrate_constant_lanes di ~obs ~thetas ~x0s ~horizon ~dt =
+  check_grid ~horizon ~dt;
+  let d = di.dim and n_t = Array.length (grid_times ~horizon ~dt) in
+  let out = Array.map (fun _ -> Array.make (n_t * d) 0.) thetas in
+  let step = ref 0 in
+  ignore
+    (constant_lanes di ~obs ~thetas ~x0s ~horizon ~dt (fun _t ys ->
+         Array.iteri
+           (fun l o -> Array.blit (Mat.data ys) (l * d) o (!step * d) d)
+           out;
+         incr step));
+  out
 
-let integrate_constant_batch di ~(thetas : Vec.t array) ~x0 ~horizon ~dt =
-  let d = di.dim in
-  let lanes =
-    integrate_constant_lanes di ~obs:Obs.off ~thetas
-      ~x0s:(Array.make (Array.length thetas) x0)
-      ~horizon ~dt
-  in
-  let times = grid_times ~horizon ~dt in
-  Array.map
-    (fun states ->
-      Ode.Traj.of_arrays times
-        (Array.init (Array.length times) (fun s -> Array.sub states (s * d) d)))
-    lanes
-
-let integrate_to_constant_batch ?par di ~(thetas : Vec.t array) ~x0 ~horizon
-    ~dt =
-  let n = Array.length thetas in
-  if n = 0 then [||]
-  else
-    match di.plan with
-    | None ->
-        Array.map
-          (fun theta ->
-            Ode.Traj.last (integrate_constant di ~theta ~x0 ~horizon ~dt))
-          thetas
-    | Some plan ->
-        let last = ref None in
-        let record _t ys = last := Some ys in
-        lockstep_run ?par di plan ~theta_at:(constant_thetas thetas)
-          ~theta_cols:(theta_width di thetas) ~record ~x0s:(Array.make n x0)
-          ~horizon ~dt;
-        let ys = match !last with Some m -> m | None -> assert false in
-        Array.init n (fun l -> mat_row ys l)
-
-let integrate_control_batch ?par di
-    ~(controls : (float -> Vec.t -> Vec.t) array) ~x0 ~horizon ~dt =
+let integrate_control_batch di ~(controls : (float -> Vec.t -> Vec.t) array)
+    ~x0 ~horizon ~dt =
   let n = Array.length controls in
   if n = 0 then [||]
-  else
-    match di.plan with
-    | None ->
-        Array.map
-          (fun control ->
-            Ode.Traj.last (integrate_control di ~control ~x0 ~horizon ~dt))
-          controls
-    | Some plan ->
-        let last = ref None in
-        let record _t ys = last := Some ys in
-        let theta_cols = Optim.Box.dim di.theta in
-        let theta_at t xs ths =
-          for l = 0 to n - 1 do
-            let th = Optim.Box.clamp di.theta (controls.(l) t (mat_row xs l)) in
-            for j = 0 to Vec.dim th - 1 do
-              Mat.set ths l j th.(j)
-            done
-          done
-        in
-        lockstep_run ?par di plan ~theta_at ~theta_cols ~record
-          ~x0s:(Array.make n x0) ~horizon ~dt;
-        let ys = match !last with Some m -> m | None -> assert false in
-        Array.init n (fun l -> mat_row ys l)
+  else begin
+    let theta_at t xs ths =
+      for l = 0 to n - 1 do
+        let th = Optim.Box.clamp di.theta (controls.(l) t (Mat.row xs l)) in
+        for j = 0 to Vec.dim th - 1 do
+          Mat.set ths l j th.(j)
+        done
+      done
+    in
+    let ys =
+      lockstep_run di ~theta_at ~theta_cols:(Optim.Box.dim di.theta)
+        ~record:(fun _ _ -> ())
+        ~x0s:(Array.make n x0) ~horizon ~dt
+    in
+    Array.init n (Mat.row ys)
+  end
 
-let costate_rhs di ~x ~theta ~p =
-  match di.jacobian with
-  | Some jac -> Vec.scale (-1.) (Mat.tmulv (jac x theta) p)
-  | None -> Vec.scale (-1.) (Diff.jacobian_tv (fun y -> di.drift y theta) x p)
+(* lanes are independent and each is bitwise its scalar twin, so any
+   partition into batches gives the same lanes: a pool maps fixed
+   slices over its workers, one pool section per call *)
+let slice = 64
+
+let map_slices pool ~stage f lanes =
+  match pool with
+  | None -> [| f lanes |]
+  | Some p ->
+      let n = Array.length lanes in
+      Pool.parallel_map ~stage p f
+        (Array.init ((n + slice - 1) / slice) (fun s ->
+             Array.sub lanes (s * slice) (Stdlib.min slice (n - (s * slice)))))
 
 let hamiltonian di ~x ~p theta = Vec.dot (di.drift x theta) p
 

@@ -30,12 +30,6 @@ let bounds ?(check = false) ?clip ?(obs = Obs.off) di ~x0 ~horizon ~dt =
   if horizon < 0. then invalid_arg "Hull.bounds: negative horizon";
   if dt <= 0. then invalid_arg "Hull.bounds: dt <= 0";
   if Vec.dim x0 <> di.Di.dim then invalid_arg "Hull.bounds: x0 dimension";
-  let plan =
-    match di.Di.plan with
-    | Some p -> p
-    | None ->
-        invalid_arg "Hull.bounds: the inclusion has no compiled drift plan"
-  in
   (* the step count in floats first: a tiny dt must not wrap to one
      step over the whole horizon *)
   let n = Float.ceil (horizon /. dt) in
@@ -58,7 +52,7 @@ let bounds ?(check = false) ?clip ?(obs = Obs.off) di ~x0 ~horizon ~dt =
     (* the hull can momentarily invert by integration error; repair *)
     let lo' = Vec.cmin lo hi and hi' = Vec.cmax lo hi in
     if on then face_evals := !face_evals + (2 * d);
-    face_bounds plan ~th ~lo:lo' ~hi:hi'
+    face_bounds di.Di.plan ~th ~lo:lo' ~hi:hi'
   in
   let clip_state z =
     match clip with

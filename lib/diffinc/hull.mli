@@ -47,9 +47,8 @@ val bounds :
     [obs] records the ["hull.bounds"] span, the ["hull.steps"] /
     ["hull.face_evals"] counters and the ["hull.final_width"] gauge.
     @raise Invalid_argument on a negative horizon, a non-positive dt,
-    a step count that is not finite or does not fit an int, an [x0] of
-    the wrong dimension, or an inclusion without a compiled drift plan
-    ({!Di.of_model} always has one). *)
+    a step count that is not finite or does not fit an int, or an [x0]
+    of the wrong dimension. *)
 
 val lower_at : traj -> float -> Vec.t
 

@@ -29,52 +29,15 @@ let objective_vector di sense obj =
   in
   match sense with `Max -> c | `Min -> Vec.scale (-1.) c
 
-(* forward sweep: RK4 with the control frozen per grid interval *)
-let forward di ~x0 ~h ~control xs =
-  let k = Array.length control in
-  xs.(0) <- Vec.copy x0;
-  for i = 0 to k - 1 do
-    let theta = control.(i) in
-    let rhs _t x = di.Di.drift x theta in
-    xs.(i + 1) <- Ode.rk4_step rhs 0. xs.(i) h
-  done
-
-(* backward sweep: integrate the costate from T to 0 holding x fixed *)
-let backward di ~c ~h ~control xs ps =
-  let k = Array.length control in
-  ps.(k) <- Vec.copy c;
-  for i = k - 1 downto 0 do
-    let theta = control.(i) in
-    (* state on the interval: midpoint interpolation for the RK4 stages *)
-    let x_lo = xs.(i) and x_hi = xs.(i + 1) in
-    let rhs s p =
-      (* s in [0, 1] parametrises the interval backwards from t_{i+1} *)
-      let x = Vec.lerp x_hi x_lo s in
-      Vec.scale (-1.) (Di.costate_rhs di ~x ~theta ~p)
-      (* note: integrating backwards in time flips the sign, so the
-         effective rhs is +(∂f/∂x)ᵀ p; costate_rhs already carries the
-         minus sign, hence the extra [scale (-1.)] *)
-    in
-    (* one RK4 step of length h in the reversed time variable *)
-    let k1 = rhs 0. ps.(i + 1) in
-    let k2 = rhs 0.5 (Vec.axpy (h /. 2.) k1 ps.(i + 1)) in
-    let k3 = rhs 0.5 (Vec.axpy (h /. 2.) k2 ps.(i + 1)) in
-    let k4 = rhs 1. (Vec.axpy h k3 ps.(i + 1)) in
-    ps.(i) <-
-      Vec.mapi
-        (fun j v ->
-          v +. (h /. 6. *. (k1.(j) +. (2. *. k2.(j)) +. (2. *. k3.(j)) +. k4.(j))))
-        ps.(i + 1)
-  done
-
-(* The same two sweeps over the compiled drift and Jacobian plans, into
-   preallocated buffers: the float operations of [forward] /
-   [Ode.rk4_step] and [backward] term for term, in the same order.  The
-   costate stage is (∂f/∂x)ᵀ p formed straight from the row-major
-   Jacobian buffer ([Mat.tmulv]'s sum); [backward]'s two negations
-   cancel exactly, so neither is taken.  [xs] and [ps] must hold
+(* The forward and backward sweeps over the compiled drift and Jacobian
+   plans, into preallocated buffers.  Forward: RK4 with the control
+   frozen per grid interval, [Ode.rk4_step]'s float operations term for
+   term.  Backward: the costate ṗ = −(∂f/∂x)ᵀ p integrated from T to 0
+   by RK4 in reversed time, so each stage is +(∂f/∂x)ᵀ p, formed
+   straight from the row-major Jacobian buffer ([Mat.tmulv]'s sum) at
+   the state interpolated across the interval.  [xs] and [ps] must hold
    distinct vectors, which the sweeps overwrite. *)
-let compiled_sweeps ~d plan jac_plan =
+let sweeps ~d plan jac_plan =
   let k1 = Vec.zeros d and k2 = Vec.zeros d and k3 = Vec.zeros d
   and k4 = Vec.zeros d and tmp = Vec.zeros d and x = Vec.zeros d
   and jac = Vec.zeros (d * d) in
@@ -153,27 +116,21 @@ let solve ?(steps = 400) ?(max_iter = 200) ?(tol = 1e-4) ?(relax = 0.5)
   let control = Array.init steps (fun _ -> Vec.copy mid) in
   let xs = Array.init (steps + 1) (fun _ -> Vec.zeros di.Di.dim) in
   let ps = Array.init (steps + 1) (fun _ -> Vec.zeros di.Di.dim) in
-  (* the compiled sweeps need both plans; a DI stripped of its drift
-     plan runs the scalar ones *)
-  let forward, backward =
-    match (di.Di.plan, di.Di.jac_plan) with
-    | Some plan, Some jac_plan -> compiled_sweeps ~d:di.Di.dim plan jac_plan
-    | _ -> (forward di, backward di)
-  in
+  let forward, backward = sweeps ~d:di.Di.dim di.Di.plan di.Di.jac_plan in
   (* each update_control call evaluates the Hamiltonian arg max once
      per grid interval *)
   let update_calls = ref 0 in
   let update_control =
-    match (opt, di.Di.plan) with
-    | `Vertices, Some plan ->
-        (* compiled drift + vertex enumeration: evaluate the drift at
-           every (interval midpoint, Θ-vertex) pair in ONE batched
-           sweep per call, then replay [Optim.argmax_vertices]'s
-           keep-first fold per interval.  H = f·p sums each batched
-           drift row against p in place, in [Vec.dot]'s order, so each
-           interval's arg max is bitwise the scalar
-           [Di.argmax_hamiltonian]; the midpoints and the relaxed
-           control are [Vec.lerp]'s arithmetic, written in place. *)
+    match opt with
+    | `Vertices ->
+        (* vertex enumeration: evaluate the drift at every (interval
+           midpoint, Θ-vertex) pair in ONE batched sweep per call, then
+           replay [Optim.argmax_vertices]'s keep-first fold per
+           interval.  H = f·p sums each batched drift row against p in
+           place, in [Vec.dot]'s order, so each interval's arg max is
+           bitwise the scalar [Di.argmax_hamiltonian]; the midpoints
+           and the relaxed control are [Vec.lerp]'s arithmetic, written
+           in place. *)
         let d = di.Di.dim in
         let verts = Array.of_list (Optim.Box.vertices di.Di.theta) in
         let nv = Array.length verts in
@@ -203,7 +160,7 @@ let solve ?(steps = 400) ?(max_iter = 200) ?(tol = 1e-4) ?(relax = 0.5)
               done
             done
           done;
-          Tape.Plan.run_batch plan ~xs:xs_mat ~ths ~out:fout;
+          Tape.Plan.run_batch di.Di.plan ~xs:xs_mat ~ths ~out:fout;
           for i = 0 to steps - 1 do
             for j = 0 to d - 1 do
               p.(j) <- midpoint ps.(i) ps.(i + 1) j
@@ -225,7 +182,9 @@ let solve ?(steps = 400) ?(max_iter = 200) ?(tol = 1e-4) ?(relax = 0.5)
               ci.(j) <- ((1. -. relax) *. ci.(j)) +. (relax *. star.(j))
             done
           done
-    | _ ->
+    | `Box _ ->
+        (* a grid-and-descent search per interval, for drifts not
+           affine in θ *)
         fun ~relax ->
           incr update_calls;
           for i = 0 to steps - 1 do

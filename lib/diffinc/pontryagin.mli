@@ -52,6 +52,12 @@ val solve :
     [relax = 0.5] under-relaxation of the control update (full updates
     make the sweep cycle between suboptimal bang-bang patterns).
 
+    Both sweeps run on the inclusion's compiled drift and Jacobian
+    plans.  [opt] picks the control update: [`Vertices] (default)
+    evaluates the drift at every (interval, Θ-vertex) pair in one
+    batched call, exact for drifts affine in θ; [`Box k] runs
+    {!Di.argmax_hamiltonian}'s grid-and-descent search per interval.
+
     [check] (default false) raises [Failure] as soon as the objective
     value goes non-finite during a sweep — the same runtime sanitizer
     convention as {!Hull.bounds} and {!Birkhoff.compute}, switched on

@@ -25,71 +25,28 @@ let sample_states ?pool ?(obs = Obs.off) ?(dt = 1e-2) ?(switches = 4)
   if n_controls <= 0 then invalid_arg "Reach.sample_states: need n_controls > 0";
   if horizon <= 0. then invalid_arg "Reach.sample_states: need horizon > 0";
   let sp = Obs.span_begin obs "reach.sample" in
-  let one rng =
-    let control =
-      random_piecewise_control rng di ~horizon ~switches ~vertex_bias
-    in
-    let traj = Di.integrate_control di ~control ~x0 ~horizon ~dt in
-    Ode.Traj.last traj
+  let draw rng =
+    random_piecewise_control rng di ~horizon ~switches ~vertex_bias
   in
   (* integration consumes no randomness, so drawing every control first
      and batch-integrating afterwards reads the caller's stream in
-     exactly the order the integrate-as-you-draw loop did — and the
-     lockstep lanes are bit-identical to per-control integration, so
-     the cloud is unchanged *)
-  let out =
+     exactly the order the integrate-as-you-draw loop did.  With a pool,
+     one draw from the caller's stream picks a root and control [i]
+     runs on its own splitmix64-derived generator, so the cloud is a
+     function of (root, i) only — bit-identical for any domain count *)
+  let controls =
     match pool with
-    | None -> (
-        match di.Di.plan with
-        | Some _ ->
-            let controls =
-              List.init n_controls (fun _ ->
-                  random_piecewise_control rng di ~horizon ~switches
-                    ~vertex_bias)
-            in
-            Array.to_list
-              (Di.integrate_control_batch di
-                 ~controls:(Array.of_list controls) ~x0 ~horizon ~dt)
-        | None -> List.init n_controls (fun _ -> one rng))
-    | Some p ->
-        (* one draw from the caller's stream picks a root; control [i]
-           then runs on its own splitmix64-derived generator, so the
-           cloud is a function of (root, i) only — bit-identical for any
-           chunking or domain count *)
+    | None -> Array.init n_controls (fun _ -> draw rng)
+    | Some _ ->
         let root = Int64.to_int (Rng.uint64 rng) in
-        (match di.Di.plan with
-        | Some _ ->
-            let controls =
-              Array.init n_controls (fun i ->
-                  random_piecewise_control
-                    (Runtime.Seeds.rng ~root i)
-                    di ~horizon ~switches ~vertex_bias)
-            in
-            (* lanes are independent and each is bitwise its scalar
-               twin, so ANY partition into batches gives the same
-               cloud: hand each worker a contiguous slice to
-               batch-integrate (one pool section total, not one per RK4
-               stage) *)
-            let csize = 64 in
-            let n_slices = (n_controls + csize - 1) / csize in
-            let slices =
-              Array.init n_slices (fun s ->
-                  Array.sub controls (s * csize)
-                    (Stdlib.min csize (n_controls - (s * csize))))
-            in
-            let finals =
-              Pool.parallel_map ~stage:"reach-sample" p
-                (fun slice ->
-                  Di.integrate_control_batch di ~controls:slice ~x0 ~horizon
-                    ~dt)
-                slices
-            in
-            Array.to_list (Array.concat (Array.to_list finals))
-        | None ->
-            Array.to_list
-              (Pool.parallel_map ~stage:"reach-sample" p
-                 (fun i -> one (Runtime.Seeds.rng ~root i))
-                 (Array.init n_controls Fun.id)))
+        Array.init n_controls (fun i -> draw (Runtime.Seeds.rng ~root i))
+  in
+  let out =
+    Di.map_slices pool ~stage:"reach-sample"
+      (fun controls ->
+        Di.integrate_control_batch di ~controls ~x0 ~horizon ~dt)
+      controls
+    |> Array.to_list |> Array.concat |> Array.to_list
   in
   if Obs.enabled obs then begin
     Obs.count obs "reach.controls" n_controls;

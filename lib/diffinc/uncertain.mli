@@ -2,15 +2,19 @@
     (Definition 2 / Corollary 1).
 
     The reachable set is the union over constant θ of single ODE
-    solutions, explored on a parameter grid.  Every entry point takes
-    an optional [?pool]; the per-θ integrations are independent, so
-    with a pool they fan out across the worker domains and are folded
-    back in grid order — output is bit-identical to the sequential
-    path for any number of domains.
+    solutions, explored on a parameter grid.  Every θ of the grid is
+    one lane of {!Di.constant_lanes}: the lanes advance in lockstep
+    through the compiled drift, each bit-identical to its own
+    {!Di.integrate_constant}.  With [?pool] the grid is cut into
+    64-lane slices ({!Di.map_slices}) that run on the worker domains
+    and are folded back in grid order, so the output is the same for
+    any number of domains.
 
     Every entry point also takes [?obs]: each grid sweep is recorded
     as an ["uncertain.sweep"] span carrying a [thetas] metric plus an
-    ["uncertain.thetas"] counter. *)
+    ["uncertain.thetas"] counter, the clock is read at every step (so
+    a deadline interrupts a sweep) and lanes × steps are added to
+    ["ode.steps"]. *)
 
 open Umf_numerics
 module Pool = Umf_runtime.Runtime.Pool
@@ -26,7 +30,12 @@ val transient_envelope :
   Vec.t array * Vec.t array
 (** [(lower, upper)] per sample time: the coordinate-wise min/max of
     x^θ(t) over a [grid]-per-axis factorial grid of constant parameters
-    (default 21).  These are the solid curves of Figure 1. *)
+    (default 21).  These are the solid curves of Figure 1.  Each
+    lane's sample is the state {!Ode.Traj.at} interpolates from its
+    trajectory, folded as the lanes advance: only the previous step's
+    rows are held, never a whole trajectory.
+    @raise Invalid_argument on no sample times, a non-finite one or an
+    [x0] of the wrong dimension. *)
 
 val equilibria :
   ?pool:Pool.t ->

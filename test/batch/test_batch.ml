@@ -84,107 +84,157 @@ let test_model (name, m) () =
         [ 2; 4 ])
     (plans_of m)
 
-(* Solver-level A/B: the batched and compiled fast paths activate when
-   [Di.t] carries a plan and fall back to the scalar loops when it does
-   not.  Both must produce the same answer BIT FOR BIT — that is the
-   whole determinism story of the compiled Pontryagin sweeps, the
-   lockstep Birkhoff escapes, uncertainty grids and reachability
-   clouds. *)
+(* Solver-level references: the uncertain envelope and equilibria run
+   every θ of the grid as a lockstep lane and fold the samples as the
+   lanes advance; reach clouds run their controls as lockstep lanes.
+   Each must reproduce the per-lane scalar integration BIT FOR BIT,
+   observed or not and with or without a pool. *)
 module Di = Umf_diffinc.Di
-module Pontryagin = Umf_diffinc.Pontryagin
 module Uncertain = Umf_diffinc.Uncertain
-module Reach = Umf_diffinc.Reach
-module Birkhoff = Umf_diffinc.Birkhoff
-
-let vec_eq =
-  Alcotest.testable
-    (fun ppf v -> Format.pp_print_string ppf (Vec.to_string v))
-    (fun a b ->
-      Vec.dim a = Vec.dim b
-      && Array.for_all2 (fun x y -> x = y || (Float.is_nan x && Float.is_nan y)) a b)
-
-let dis_of name =
-  let m = Umf_models.Registry.find_exn name in
-  let di = Di.of_model m in
-  (di, { di with Di.plan = None }, m)
-
-let dis () = dis_of "sir"
+module Obs = Umf_obs.Obs
 
 let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
-(* every registry model in the shape of a served Pontryagin request:
-   60 steps, the last coordinate, two horizons *)
-let test_pontryagin_ab () =
-  List.iter
-    (fun (name, _) ->
-      let di, di_scalar, m = dis_of name in
-      let x0 = Model.x0 m and coord = Model.dim m - 1 in
-      let times = [| 0.5; 1.5 |] in
-      let s = Pontryagin.bound_series ~steps:60 di ~x0 ~coord ~times in
-      let s' = Pontryagin.bound_series ~steps:60 di_scalar ~x0 ~coord ~times in
-      Array.iteri
-        (fun i (lo, hi) ->
-          let lo', hi' = s'.(i) in
-          if not (same_bits lo lo' && same_bits hi hi') then
-            Alcotest.failf
-              "%s t=%g: compiled [%.17g, %.17g] <> scalar [%.17g, %.17g]" name
-              times.(i) lo hi lo' hi')
-        s)
-    (Umf_models.Registry.all ())
-
-(* the stripped DI runs every escape as its own scalar integration *)
-let test_birkhoff_ab () =
-  let di, di_scalar, _ = dis () in
-  let x_start = [| 0.4904; 0.2943 |] in
-  let r = Birkhoff.compute di ~x_start in
-  let r' = Birkhoff.compute di_scalar ~x_start in
-  Alcotest.(check int) "iterations" r'.Birkhoff.iterations
-    r.Birkhoff.iterations;
-  Alcotest.(check int) "vertices" (List.length r'.Birkhoff.polygon)
-    (List.length r.Birkhoff.polygon);
-  List.iteri
-    (fun k ((x, y), (x', y')) ->
-      if not (same_bits x x' && same_bits y y') then
-        Alcotest.failf
-          "vertex %d: lockstep (%.17g, %.17g) <> scalar (%.17g, %.17g)" k x y
-          x' y')
-    (List.combine r.Birkhoff.polygon r'.Birkhoff.polygon)
-
-let test_uncertain_ab () =
-  let di, di_scalar, m = dis () in
-  let x0 = Model.x0 m in
-  let times = [| 0.; 1.; 3. |] in
-  let lo, hi = Uncertain.transient_envelope ~grid:5 di ~x0 ~times in
-  let lo', hi' = Uncertain.transient_envelope ~grid:5 di_scalar ~x0 ~times in
+let check_vec name a b =
+  if Vec.dim a <> Vec.dim b then Alcotest.failf "%s: dimension differs" name;
   Array.iteri
-    (fun i v ->
-      Alcotest.check vec_eq (Printf.sprintf "lower %d" i) lo'.(i) v;
-      Alcotest.check vec_eq (Printf.sprintf "upper %d" i) hi'.(i) hi.(i))
-    lo
+    (fun j x ->
+      if not (same_bits x b.(j)) then
+        Alcotest.failf "%s[%d]: lockstep %.17g <> reference %.17g" name j x
+          b.(j))
+    a
 
-let test_reach_ab () =
-  let di, di_scalar, m = dis () in
-  let x0 = Model.x0 m in
-  let cloud seed d =
-    Reach.sample_states d ~x0 ~horizon:1.5 ~n_controls:32 (Rng.create seed)
+(* the envelope as one scalar trajectory per θ, sampled by
+   [Ode.Traj.at] and folded in grid order *)
+let reference_envelope di ~dt ~grid ~x0 ~times =
+  let horizon = Array.fold_left Float.max 0. times in
+  let m = Array.length times and d = di.Di.dim in
+  let lower = Array.make m (Vec.create d Float.infinity)
+  and upper = Array.make m (Vec.create d Float.neg_infinity) in
+  List.iter
+    (fun theta ->
+      let traj = Di.integrate_constant di ~theta ~x0 ~horizon ~dt in
+      Array.iteri
+        (fun i t ->
+          let x = Ode.Traj.at traj t in
+          lower.(i) <- Vec.cmin lower.(i) x;
+          upper.(i) <- Vec.cmax upper.(i) x)
+        times)
+    (Optim.Box.sample_grid di.Di.theta grid);
+  (lower, upper)
+
+(* dt = 0.125 over 1.3: samples on grid points (0.25, 0.5, 1.25),
+   between them, at 0 (twice), inside the last short step and at the
+   horizon, out of order *)
+let envelope_times = [| 0.; 0.25; 0.3; 1.3; 0.5; 0.77; 1.25; 1.29; 0. |]
+
+(* the smallest grid over more than one 64-lane slice, so that a pool
+   runs several slices, the last one ragged *)
+let slicing_grid di =
+  let axes = float_of_int (Optim.Box.dim di.Di.theta) in
+  let rec past_one_slice g =
+    if float_of_int g ** axes > 64. then g else past_one_slice (g + 1)
   in
-  List.iter2
-    (Alcotest.check vec_eq "reached state")
-    (cloud 7 di_scalar) (cloud 7 di)
+  past_one_slice 2
+
+let test_uncertain_envelope (name, m) () =
+  let di = Di.of_model m and x0 = Model.x0 m and dt = 0.125 in
+  let grid = slicing_grid di in
+  let times = envelope_times in
+  let lo_ref, hi_ref = reference_envelope di ~dt ~grid ~x0 ~times in
+  let lanes = List.length (Optim.Box.sample_grid di.Di.theta grid) in
+  let steps =
+    Ode.Traj.length
+      (Di.integrate_constant di ~theta:(Optim.Box.midpoint di.Di.theta) ~x0
+         ~horizon:1.3 ~dt)
+    - 1
+  in
+  let check label ?pool observed =
+    let agg = Obs.Agg.create () in
+    let obs = if observed then Obs.make ~agg () else Obs.off in
+    let lo, hi = Uncertain.transient_envelope ?pool ~obs ~dt ~grid di ~x0 ~times in
+    Array.iteri
+      (fun i t ->
+        check_vec (Printf.sprintf "%s %s lower t=%g" name label t) lo.(i) lo_ref.(i);
+        check_vec (Printf.sprintf "%s %s upper t=%g" name label t) hi.(i) hi_ref.(i))
+      times;
+    if observed then begin
+      Alcotest.(check (float 0.)) (name ^ " uncertain.thetas")
+        (float_of_int lanes) (Obs.Agg.counter agg "uncertain.thetas");
+      Alcotest.(check (float 0.)) (name ^ " ode.steps")
+        (float_of_int (lanes * steps)) (Obs.Agg.counter agg "ode.steps")
+    end
+  in
+  check "unobserved" false;
+  check "observed" true;
+  Pool.with_pool ~domains:2 (fun pool ->
+      check "pool, unobserved" ~pool false;
+      check "pool, observed" ~pool true)
+
+let test_equilibria (name, m) () =
+  let di = Di.of_model m and x0 = Model.x0 m in
+  let grid = slicing_grid di in
+  let reference =
+    List.map
+      (fun theta ->
+        Ode.integrate_to (fun _t x -> di.Di.drift x theta) ~t0:0. ~y0:x0
+          ~t1:2. ~dt:0.05)
+      (Optim.Box.sample_grid di.Di.theta grid)
+  in
+  let check label eqs =
+    List.iteri
+      (fun l (a, b) -> check_vec (Printf.sprintf "%s %s lane %d" name label l) a b)
+      (List.combine eqs reference)
+  in
+  check "sequential" (Uncertain.equilibria ~dt:0.05 ~grid ~settle_time:2. di ~x0);
+  Pool.with_pool ~domains:2 (fun pool ->
+      check "pool"
+        (Uncertain.equilibria ~pool ~dt:0.05 ~grid ~settle_time:2. di ~x0))
+
+(* the lanes a reach cloud integrates, against one scalar
+   [Di.integrate_control] per control: piecewise-constant controls
+   switching between Θ's vertices, sliced over a pool as the cloud is *)
+let test_reach_lanes (name, m) () =
+  let di = Di.of_model m and x0 = Model.x0 m in
+  let verts = Array.of_list (Optim.Box.vertices di.Di.theta) in
+  let nv = Array.length verts in
+  let controls =
+    Array.init 70 (fun c t _x ->
+        verts.((c + int_of_float (t *. 3.)) mod nv))
+  in
+  let reference =
+    Array.map
+      (fun control ->
+        Ode.Traj.last (Di.integrate_control di ~control ~x0 ~horizon:1.5 ~dt:0.05))
+      controls
+  in
+  let check label finals =
+    Array.iteri
+      (fun l x -> check_vec (Printf.sprintf "%s %s lane %d" name label l) x reference.(l))
+      finals
+  in
+  check "one batch"
+    (Di.integrate_control_batch di ~controls ~x0 ~horizon:1.5 ~dt:0.05);
+  Pool.with_pool ~domains:2 (fun pool ->
+      check "pool slices"
+        (Array.concat
+           (Array.to_list
+              (Di.map_slices (Some pool) ~stage:"batch-smoke"
+                 (fun controls ->
+                   Di.integrate_control_batch di ~controls ~x0 ~horizon:1.5
+                     ~dt:0.05)
+                 controls))))
 
 let () =
+  let per_model f =
+    List.map
+      (fun ((name, _) as nm) -> Alcotest.test_case name `Quick (f nm))
+      (Umf_models.Registry.all ())
+  in
   Alcotest.run "batch-smoke"
     [
-      ( "bitwise",
-        List.map
-          (fun ((name, _) as nm) ->
-            Alcotest.test_case name `Quick (test_model nm))
-          (Umf_models.Registry.all ()) );
-      ( "solver A/B (plan vs stripped)",
-        [
-          Alcotest.test_case "pontryagin series" `Quick test_pontryagin_ab;
-          Alcotest.test_case "uncertain envelope" `Quick test_uncertain_ab;
-          Alcotest.test_case "reach cloud" `Quick test_reach_ab;
-          Alcotest.test_case "birkhoff region" `Quick test_birkhoff_ab;
-        ] );
+      ("bitwise", per_model test_model);
+      ("uncertain envelope vs per-θ trajectories", per_model test_uncertain_envelope);
+      ("equilibria vs per-θ settles", per_model test_equilibria);
+      ("reach lanes vs integrate_control", per_model test_reach_lanes);
     ]

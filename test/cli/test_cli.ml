@@ -2,7 +2,8 @@
    certified error) is the one tolerance flag of bounds and ctmc, so
    --dt there is an unknown option (cmdliner usage error, exit 124),
    while hull keeps --dt as its own grid step — and refuses a step too
-   small to count or a non-finite step or horizon (exit 1). *)
+   small to count or a non-finite step or horizon (exit 1), as ctmc
+   bounds refuses a θ grid past its cap. *)
 
 let cli = Sys.argv.(1)
 
@@ -79,6 +80,11 @@ let () =
     [ "hull"; "-m"; "sir"; "--horizon"; "1"; "--dt"; "nan" ];
   check_refused "hull --horizon nan"
     [ "hull"; "-m"; "sir"; "--horizon"; "nan" ];
+  (* a θ grid past 4096 points is refused before it is built *)
+  check_refused "ctmc bounds --grid 5000"
+    [ "ctmc"; "bounds"; "-m"; "sir"; "--size"; "5"; "--var"; "I";
+      "--grid"; "5000" ];
   print_endline
     "cli-flags OK (--epsilon on bounds and ctmc, --dt refused there, hull \
-     --dt kept, tiny and non-finite hull steps refused)"
+     --dt kept, tiny and non-finite hull steps refused, a θ grid past \
+     4096 points refused)"

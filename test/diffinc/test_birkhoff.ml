@@ -4,14 +4,13 @@ open Umf_diffinc
 (* decoupled contraction towards (θ, θ): equilibria span the segment
    from (1,1) to (2,2); the Birkhoff centre must contain that segment *)
 let segment_di () =
-  Di.make ~dim:2 ~theta:(Optim.Box.make [| 1. |] [| 2. |])
-    (fun x th -> [| th.(0) -. x.(0); th.(0) -. x.(1) |])
+  Fixture.di ~lo:[| 1. |] ~hi:[| 2. |]
+    Expr.[| theta 0 -: var 0; theta 0 -: var 1 |]
 
 (* independent per-coordinate parameters: equilibria fill [1,2]^2 *)
 let square_di () =
-  Di.make ~dim:2
-    ~theta:(Optim.Box.make [| 1.; 1. |] [| 2.; 2. |])
-    (fun x th -> [| th.(0) -. x.(0); th.(1) -. x.(1) |])
+  Fixture.di ~lo:[| 1.; 1. |] ~hi:[| 2.; 2. |]
+    Expr.[| theta 0 -: var 0; theta 1 -: var 1 |]
 
 let test_contains_extreme_equilibria () =
   let b = Birkhoff.compute (segment_di ()) ~x_start:[| 0.; 0. |] in
@@ -60,9 +59,7 @@ let test_polygon_simplified () =
     (List.length b.Birkhoff.polygon <= 256)
 
 let test_dim_validation () =
-  let di =
-    Di.make ~dim:1 ~theta:(Optim.Box.make [| 0. |] [| 1. |]) (fun _ th -> [| th.(0) |])
-  in
+  let di = Fixture.di ~lo:[| 0. |] ~hi:[| 1. |] [| Expr.theta 0 |] in
   Alcotest.check_raises "1-D rejected"
     (Invalid_argument "Birkhoff.compute: system is not 2-D") (fun () ->
       ignore (Birkhoff.compute di ~x_start:[| 0. |]))

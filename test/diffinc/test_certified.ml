@@ -17,16 +17,12 @@ let sys () =
 let test_di_has_exact_jacobian () =
   let s = sys () in
   let di = Di.of_model s in
-  (* costate rhs with the symbolic jacobian vs finite differences *)
-  let di_fd = Di.make ~dim:1 ~theta:di.Di.theta di.Di.drift in
-  let x = [| 0.3 |] and theta = [| 3. |] and p = [| 1.5 |] in
-  let a = Di.costate_rhs di ~x ~theta ~p in
-  let b = Di.costate_rhs di_fd ~x ~theta ~p in
-  Alcotest.(check bool) "exact vs FD costate" true (Vec.approx_equal ~tol:1e-5 a b);
-  (* the exact value: d/dx (th x (1-x) - x) = th (1 - 2x) - 1 *)
-  Alcotest.(check (float 1e-12)) "analytic value"
-    (-.((3. *. (1. -. 0.6)) -. 1.) *. 1.5)
-    a.(0)
+  (* the costate sweep's Jacobian plan holds the exact derivative
+     d/dx (th x (1-x) - x) = th (1 - 2x) - 1 *)
+  let jac = Vec.zeros 1 in
+  Tape.Plan.run di.Di.jac_plan ~x:[| 0.3 |] ~th:[| 3. |] ~out:jac;
+  Alcotest.(check (float 1e-12)) "analytic value" ((3. *. (1. -. 0.6)) -. 1.)
+    jac.(0)
 
 let test_certified_hull_contains_constant_solutions () =
   let s = sys () in

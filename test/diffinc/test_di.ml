@@ -2,15 +2,7 @@ open Umf_numerics
 open Umf_diffinc
 
 (* 1-D controlled decay: f(x, th) = th - x, th in [1, 2] *)
-let decay_di () =
-  Di.make ~dim:1
-    ~theta:(Optim.Box.make [| 1. |] [| 2. |])
-    (fun x th -> [| th.(0) -. x.(0) |])
-
-let test_make_validation () =
-  Alcotest.check_raises "dim 0" (Invalid_argument "Di.make: need dim > 0")
-    (fun () ->
-      ignore (Di.make ~dim:0 ~theta:(Optim.Box.make [||] [||]) (fun _ _ -> [||])))
+let decay_di () = Fixture.di ~lo:[| 1. |] ~hi:[| 2. |] Expr.[| theta 0 -: var 0 |]
 
 let test_integrate_constant () =
   let di = decay_di () in
@@ -28,37 +20,35 @@ let test_integrate_control_clamps () =
   in
   Alcotest.(check (float 1e-6)) "clamped to theta_max" 2. (Ode.Traj.last traj).(0)
 
-let test_of_population () =
-  let tr name change rate = { Umf_meanfield.Population.name; change; rate } in
-  let m =
-    Umf_meanfield.Population.make ~name:"bd" ~var_names:[| "X" |]
-      ~theta_names:[| "th" |]
-      ~theta:(Optim.Box.make [| 1. |] [| 2. |])
-      [
-        tr "birth" [| 1. |] (fun x th -> th.(0) *. (1. -. x.(0)));
-        tr "death" [| -1. |] (fun x _ -> x.(0));
-      ]
+(* lockstep lanes are their scalar twins bit for bit; a pool slices
+   them by 64 *)
+let test_lanes () =
+  let di = decay_di () in
+  let thetas = Array.init 130 (fun i -> [| 1. +. (float_of_int i /. 129.) |]) in
+  let final =
+    Di.constant_lanes di ~obs:Umf_obs.Obs.off ~thetas
+      ~x0s:(Array.make 130 [| 0. |])
+      ~horizon:1. ~dt:0.3
+      (fun _ _ -> ())
   in
-  let di = Di.of_population m in
-  Alcotest.(check int) "dim" 1 di.Di.dim;
-  let f = di.Di.drift [| 0.25 |] [| 2. |] in
-  Alcotest.(check (float 1e-12)) "drift matches" ((2. *. 0.75) -. 0.25) f.(0)
-
-let test_costate_fd_vs_analytic () =
-  (* f(x, th) = (th x1 x2, x1 - x2): analytic Jacobian known *)
-  let drift x th = [| th.(0) *. x.(0) *. x.(1); x.(0) -. x.(1) |] in
-  let jac x th =
-    Mat.of_arrays
-      [| [| th.(0) *. x.(1); th.(0) *. x.(0) |]; [| 1.; -1. |] |]
-  in
-  let box = Optim.Box.make [| 1. |] [| 2. |] in
-  let di_fd = Di.make ~dim:2 ~theta:box drift in
-  let di_an = Di.make ~jacobian:jac ~dim:2 ~theta:box drift in
-  let x = [| 0.3; 0.7 |] and p = [| 1.; -2. |] and theta = [| 1.5 |] in
-  let r_fd = Di.costate_rhs di_fd ~x ~theta ~p in
-  let r_an = Di.costate_rhs di_an ~x ~theta ~p in
-  Alcotest.(check bool) "fd matches analytic" true
-    (Vec.approx_equal ~tol:1e-5 r_an r_fd)
+  Array.iteri
+    (fun l theta ->
+      let traj = Di.integrate_constant di ~theta ~x0:[| 0. |] ~horizon:1. ~dt:0.3 in
+      Alcotest.(check bool) "lane = scalar" true
+        (Int64.equal
+           (Int64.bits_of_float (Mat.get final l 0))
+           (Int64.bits_of_float (Ode.Traj.last traj).(0))))
+    thetas;
+  Alcotest.(check (array int)) "no pool: one slice" [| 130 |]
+    (Di.map_slices None ~stage:"test" Array.length thetas);
+  Umf_runtime.Runtime.Pool.with_pool ~domains:2 (fun pool ->
+      Alcotest.(check (array int)) "pool: slices of 64" [| 64; 64; 2 |]
+        (Di.map_slices (Some pool) ~stage:"test" Array.length thetas));
+  Alcotest.check_raises "no lanes"
+    (Invalid_argument "Di.constant_lanes: no lanes") (fun () ->
+      ignore
+        (Di.constant_lanes di ~obs:Umf_obs.Obs.off ~thetas:[||] ~x0s:[||]
+           ~horizon:1. ~dt:0.3 (fun _ _ -> ())))
 
 let test_hamiltonian () =
   let di = decay_di () in
@@ -76,9 +66,8 @@ let test_argmax_vertices_affine () =
 let test_argmax_box_nonaffine () =
   (* H concave in theta with interior max: f = -(th - 1.3)^2 * x *)
   let di =
-    Di.make ~dim:1
-      ~theta:(Optim.Box.make [| 0. |] [| 3. |])
-      (fun x th -> [| -.((th.(0) -. 1.3) ** 2.) *. x.(0) |])
+    Fixture.di ~lo:[| 0. |] ~hi:[| 3. |]
+      Expr.[| neg (pow (theta 0 -: const 1.3) 2) *: var 0 |]
   in
   let star = Di.argmax_hamiltonian ~opt:(`Box 7) di ~x:[| 1. |] ~p:[| 1. |] in
   Alcotest.(check (float 0.05)) "interior argmax found" 1.3 star.(0)
@@ -87,11 +76,9 @@ let suites =
   [
     ( "di",
       [
-        Alcotest.test_case "make validation" `Quick test_make_validation;
         Alcotest.test_case "integrate constant" `Quick test_integrate_constant;
         Alcotest.test_case "control clamping" `Quick test_integrate_control_clamps;
-        Alcotest.test_case "of_population" `Quick test_of_population;
-        Alcotest.test_case "costate fd vs analytic" `Quick test_costate_fd_vs_analytic;
+        Alcotest.test_case "lockstep lanes" `Quick test_lanes;
         Alcotest.test_case "hamiltonian" `Quick test_hamiltonian;
         Alcotest.test_case "argmax affine (vertices)" `Quick test_argmax_vertices_affine;
         Alcotest.test_case "argmax non-affine (box)" `Quick test_argmax_box_nonaffine;

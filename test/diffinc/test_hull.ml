@@ -3,31 +3,13 @@ open Umf_meanfield
 open Umf_diffinc
 module Obs = Umf_obs.Obs
 
-(* a fixture model whose drift is [drift]: one transition per
-   coordinate with a unit change, so f_i is [drift.(i)] *)
-let fixture ~theta drift =
-  let d = Array.length drift in
-  Model.make ~name:"fixture"
-    ~var_names:(Array.init d (Printf.sprintf "x%d"))
-    ~theta_names:(Array.init (Optim.Box.dim theta) (Printf.sprintf "th%d"))
-    ~theta ~x0:(Vec.zeros d)
-    (List.init d (fun i ->
-         {
-           Model.name = Printf.sprintf "f%d" i;
-           change = Array.init d (fun k -> if k = i then 1. else 0.);
-           rate = drift.(i);
-         }))
-
-let fixture_di ~lo ~hi drift =
-  Di.of_model (fixture ~theta:(Optim.Box.make lo hi) drift)
-
 (* ẋ = θ, θ ∈ [-1, 1] *)
-let integrator_di () = fixture_di ~lo:[| -1. |] ~hi:[| 1. |] [| Expr.theta 0 |]
+let integrator_di () = Fixture.di ~lo:[| -1. |] ~hi:[| 1. |] [| Expr.theta 0 |]
 
 (* coupled linear system: ẋ1 = -x1 + x2, ẋ2 = -x2 + θ, θ ∈ [1, 2] *)
 let coupled_di () =
   let open Expr in
-  fixture_di ~lo:[| 1. |] ~hi:[| 2. |]
+  Fixture.di ~lo:[| 1. |] ~hi:[| 2. |]
     [| var 1 -: var 0; theta 0 -: var 1 |]
 
 let test_integrator_hull_exact () =
@@ -80,7 +62,7 @@ let test_hull_contains_switching_solutions () =
 
 let test_width_grows_with_theta_box () =
   let make w =
-    fixture_di ~lo:[| 1. -. w |] ~hi:[| 1. +. w |]
+    Fixture.di ~lo:[| 1. -. w |] ~hi:[| 1. +. w |]
       Expr.[| theta 0 -: var 0 |]
   in
   let width w =
@@ -117,13 +99,7 @@ let test_validation () =
     (Invalid_argument
        "Hull.bounds: nan steps (horizon nan, dt 0.01) do not fit an int")
     (fun () ->
-      ignore (Hull.bounds di ~x0:[| 0. |] ~horizon:Float.nan ~dt:0.01));
-  Alcotest.check_raises "no plan"
-    (Invalid_argument "Hull.bounds: the inclusion has no compiled drift plan")
-    (fun () ->
-      ignore
-        (Hull.bounds { di with Di.plan = None } ~x0:[| 0. |] ~horizon:1.
-           ~dt:0.01))
+      ignore (Hull.bounds di ~x0:[| 0. |] ~horizon:Float.nan ~dt:0.01))
 
 let test_validation_horizon_and_dim () =
   let di = integrator_di () in
@@ -184,7 +160,7 @@ let test_exact_on_cooperative_linear () =
 let test_point_theta_collapses () =
   let open Expr in
   let di =
-    fixture_di ~lo:[| 1.5 |] ~hi:[| 1.5 |]
+    Fixture.di ~lo:[| 1.5 |] ~hi:[| 1.5 |]
       [|
         neg (theta 0 *: var 0 *: var 1);
         (theta 0 *: var 0 *: var 1) -: var 1;
@@ -214,7 +190,7 @@ let test_nested_theta_boxes () =
   let open Expr in
   let hull lo hi =
     Hull.bounds
-      (fixture_di ~lo:[| lo |] ~hi:[| hi |] [| var 1 -: var 0; theta 0 -: var 1 |])
+      (Fixture.di ~lo:[| lo |] ~hi:[| hi |] [| var 1 -: var 0; theta 0 -: var 1 |])
       ~x0:[| 0.5; 0.5 |] ~horizon:3. ~dt:0.01
   in
   let outer = hull 1. 2. and inner = hull 1.2 1.8 in
@@ -259,7 +235,7 @@ let test_obs_probes () =
 (* ẋ = x² from 1 blows up at t = 1: [check] stops there, without it
    the bounds run to infinity *)
 let test_check_sanitizer () =
-  let di = fixture_di ~lo:[| 0. |] ~hi:[| 1. |] Expr.[| var 0 *: var 0 |] in
+  let di = Fixture.di ~lo:[| 0. |] ~hi:[| 1. |] Expr.[| var 0 *: var 0 |] in
   let run check = Hull.bounds ~check di ~x0:[| 1. |] ~horizon:2. ~dt:0.01 in
   let h = run false in
   Alcotest.(check bool) "unchecked: infinite upper bound" true
@@ -346,7 +322,7 @@ let test_registry_over_approximation (name, m) () =
    makes the face bounds strictly looser than the face extrema *)
 let twice_model () =
   let open Expr in
-  fixture
+  Fixture.model
     ~theta:(Optim.Box.make [| 1. |] [| 2. |])
     [|
       (var 1 *: (const 1. -: var 1)) -: (theta 0 *: var 0);
@@ -384,7 +360,7 @@ let prop_hull_sound_multilinear =
     (QCheck.make gen) (fun (a, b) ->
       let di =
         let open Expr in
-        fixture_di ~lo:[| 0.5 |] ~hi:[| 1.5 |]
+        Fixture.di ~lo:[| 0.5 |] ~hi:[| 1.5 |]
           [|
             (const a *: (const 1. -: var 0)) -: (theta 0 *: var 0 *: var 1);
             (theta 0 *: var 0 *: var 1) -: (const b *: var 1);

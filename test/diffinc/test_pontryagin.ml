@@ -2,19 +2,17 @@ open Umf_numerics
 open Umf_diffinc
 
 (* ẋ = θ, θ ∈ [-1, 1]: reach set of x(T) is exactly [x0 - T, x0 + T] *)
-let integrator_di () =
-  Di.make ~dim:1 ~theta:(Optim.Box.make [| -1. |] [| 1. |]) (fun _x th -> [| th.(0) |])
+let integrator_di () = Fixture.di ~lo:[| -1. |] ~hi:[| 1. |] [| Expr.theta 0 |]
 
 (* ẋ = θ x, θ ∈ [a, b], x0 > 0: max x(T) = x0 e^{bT} *)
 let exponential_di a b =
-  Di.make ~dim:1 ~theta:(Optim.Box.make [| a |] [| b |])
-    (fun x th -> [| th.(0) *. x.(0) |])
+  Fixture.di ~lo:[| a |] ~hi:[| b |] Expr.[| theta 0 *: var 0 |]
 
 (* clock + steered coordinate: ẋ1 = 1, ẋ2 = θ (x1 - T/2), θ ∈ [-1, 1].
    max x2(T): θ = -1 before T/2, +1 after; value = T²/4; switch at T/2 *)
 let clock_di () =
-  Di.make ~dim:2 ~theta:(Optim.Box.make [| -1. |] [| 1. |])
-    (fun x th -> [| 1.; th.(0) *. (x.(0) -. 1.) |])
+  Fixture.di ~lo:[| -1. |] ~hi:[| 1. |]
+    Expr.[| const 1.; theta 0 *: (var 0 -: const 1.) |]
 
 let test_integrator_bounds () =
   let di = integrator_di () in
@@ -45,10 +43,7 @@ let test_bangbang_switch () =
 
 let test_linear_objective () =
   (* maximize x1 + x2 for ẋ = (θ1, θ2), θ ∈ [0,1]²: value = x0 sum + 2T *)
-  let di =
-    Di.make ~dim:2 ~theta:(Optim.Box.make [| 0.; 0. |] [| 1.; 1. |])
-      (fun _x th -> [| th.(0); th.(1) |])
-  in
+  let di = Fixture.di ~lo:[| 0.; 0. |] ~hi:[| 1.; 1. |] Expr.[| theta 0; theta 1 |] in
   let r =
     Pontryagin.solve di ~x0:[| 0.; 0. |] ~horizon:3. ~sense:`Max
       (`Linear [| 1.; 1. |])

@@ -2,9 +2,7 @@ open Umf_numerics
 open Umf_diffinc
 
 let integrator2_di () =
-  Di.make ~dim:2
-    ~theta:(Optim.Box.make [| -1.; -1. |] [| 1.; 1. |])
-    (fun _x th -> [| th.(0); th.(1) |])
+  Fixture.di ~lo:[| -1.; -1. |] ~hi:[| 1.; 1. |] Expr.[| theta 0; theta 1 |]
 
 let test_samples_reachable () =
   (* for the 2-D integrator the reach set at T is the box [-T, T]^2 *)
@@ -43,9 +41,7 @@ let test_hull_2d () =
     (Geometry.polygon_area hull > 1.)
 
 let test_dim_validation () =
-  let di =
-    Di.make ~dim:1 ~theta:(Optim.Box.make [| 0. |] [| 1. |]) (fun _ th -> [| th.(0) |])
-  in
+  let di = Fixture.di ~lo:[| 0. |] ~hi:[| 1. |] [| Expr.theta 0 |] in
   Alcotest.check_raises "not 2d" (Invalid_argument "Reach.hull_2d: system is not 2-D")
     (fun () ->
       ignore (Reach.hull_2d di ~x0:[| 0. |] ~horizon:1. ~n_controls:5 (Rng.create 1)))

@@ -4,9 +4,7 @@ open Umf_diffinc
 (* controlled growth: dx = th x, th in [-0.5, 0.5], x0 = 0.5:
    max x(t) = 0.5 e^{0.5 t} *)
 let growth () =
-  Di.make ~dim:1
-    ~theta:(Optim.Box.make [| -0.5 |] [| 0.5 |])
-    (fun x th -> [| th.(0) *. x.(0) |])
+  Fixture.di ~lo:[| -0.5 |] ~hi:[| 0.5 |] Expr.[| theta 0 *: var 0 |]
 
 let test_safe_case () =
   (* x stays below 0.5 e^1 ~ 0.824 over [0, 2]: bound 1.0 is safe *)

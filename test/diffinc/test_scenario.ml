@@ -5,9 +5,8 @@ open Umf_diffinc
    hierarchy is strict: constant theta gives 0, piecewise-2 achieves
    1 (switch aligned with the grid), imprecise achieves 1 *)
 let clock () =
-  Di.make ~dim:2
-    ~theta:(Optim.Box.make [| -1. |] [| 1. |])
-    (fun x th -> [| 1.; th.(0) *. (x.(0) -. 1.) |])
+  Fixture.di ~lo:[| -1. |] ~hi:[| 1. |]
+    Expr.[| const 1.; theta 0 *: (var 0 -: const 1.) |]
 
 let x0 = [| 0.; 0. |]
 
@@ -44,11 +43,7 @@ let test_piecewise_many_pieces () =
   Alcotest.(check (float 1e-2)) "64 pieces reach T^2/4" 1. hi
 
 let test_piecewise_1_equals_uncertain () =
-  let di =
-    Di.make ~dim:1
-      ~theta:(Optim.Box.make [| 1. |] [| 2. |])
-      (fun x th -> [| th.(0) -. x.(0) |])
-  in
+  let di = Fixture.di ~lo:[| 1. |] ~hi:[| 2. |] Expr.[| theta 0 -: var 0 |] in
   let u_lo, u_hi =
     Scenario.extremal_coord ~grid:5 Scenario.Uncertain di ~x0:[| 0. |] ~coord:0 ~horizon:1.
   in
@@ -60,16 +55,7 @@ let test_piecewise_1_equals_uncertain () =
 
 let test_piecewise_within_imprecise () =
   (* SIR-like: piecewise envelopes never exceed the Pontryagin bound *)
-  let di =
-    Di.make ~dim:2
-      ~theta:(Optim.Box.make [| 1. |] [| 10. |])
-      (fun x th ->
-        let s = x.(0) and i = x.(1) in
-        [|
-          1. -. (1.1 *. s) -. i -. (th.(0) *. s *. i);
-          (0.1 *. s) +. (th.(0) *. s *. i) -. (5. *. i);
-        |])
-  in
+  let di = Fixture.sir_like () in
   let x0 = [| 0.7; 0.3 |] in
   let p_lo, p_hi =
     Scenario.extremal_coord ~grid:3 (Scenario.Piecewise 3) di ~x0 ~coord:1 ~horizon:3.

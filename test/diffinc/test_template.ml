@@ -3,9 +3,7 @@ open Umf_diffinc
 
 (* 2-D integrator: reach set at T is exactly the square [-T, T]^2 *)
 let integrator2 () =
-  Di.make ~dim:2
-    ~theta:(Optim.Box.make [| -1.; -1. |] [| 1.; 1. |])
-    (fun _x th -> [| th.(0); th.(1) |])
+  Fixture.di ~lo:[| -1.; -1. |] ~hi:[| 1.; 1. |] Expr.[| theta 0; theta 1 |]
 
 let test_directions () =
   let d4 = Template.directions_2d 4 in
@@ -48,16 +46,7 @@ let test_template_refines_on_sir () =
   (* on the SIR-like reach set (not a rectangle), more directions give a
      strictly smaller polygon that still contains the inner Monte-Carlo
      reach cloud *)
-  let di =
-    Di.make ~dim:2
-      ~theta:(Optim.Box.make [| 1. |] [| 10. |])
-      (fun x th ->
-        let s = x.(0) and i = x.(1) in
-        [|
-          1. -. (1.1 *. s) -. i -. (th.(0) *. s *. i);
-          (0.1 *. s) +. (th.(0) *. s *. i) -. (5. *. i);
-        |])
-  in
+  let di = Fixture.sir_like () in
   let x0 = [| 0.7; 0.3 |] in
   let rect =
     Template.compute ~steps:150 di ~x0 ~horizon:2.

@@ -1,9 +1,7 @@
 open Umf_numerics
 open Umf_diffinc
 
-let decay_di () =
-  Di.make ~dim:1 ~theta:(Optim.Box.make [| 1. |] [| 2. |])
-    (fun x th -> [| th.(0) -. x.(0) |])
+let decay_di () = Fixture.di ~lo:[| 1. |] ~hi:[| 2. |] Expr.[| theta 0 -: var 0 |]
 
 let test_envelope_closed_form () =
   (* x^θ(t) = θ (1 - e^{-t}) from x0 = 0; envelope = [x^1(t), x^2(t)] *)
@@ -65,7 +63,12 @@ let test_extremal_validation () =
   let di = decay_di () in
   Alcotest.check_raises "coord"
     (Invalid_argument "Uncertain.extremal_coord: coordinate out of range")
-    (fun () -> ignore (Uncertain.extremal_coord di ~x0:[| 0. |] ~coord:1 ~horizon:1.))
+    (fun () -> ignore (Uncertain.extremal_coord di ~x0:[| 0. |] ~coord:1 ~horizon:1.);
+  Alcotest.check_raises "NaN sample time"
+    (Invalid_argument "Uncertain.transient_envelope: non-finite sample time")
+    (fun () ->
+      ignore
+        (Uncertain.transient_envelope di ~x0:[| 0. |] ~times:[| 1.; Float.nan |])))
 
 let suites =
   [

@@ -33,7 +33,24 @@ let test_spec_validation () =
       ignore (Analysis.spec ~steps:0 model));
   Alcotest.check_raises "grid < 2"
     (Invalid_argument "Analysis.spec: need grid >= 2") (fun () ->
-      ignore (Analysis.spec ~scenario:(Analysis.Uncertain 1) model))
+      ignore (Analysis.spec ~scenario:(Analysis.Uncertain 1) model));
+  (* the cap counts points over the effective Θ, a degenerate axis
+     counting one: gps-poisson has two axes *)
+  let gps = Registry.find_exn "gps-poisson" in
+  let grid g = Analysis.Uncertain g in
+  ignore (Analysis.spec ~scenario:(grid 64) gps);
+  Alcotest.check_raises "65 x 65 points"
+    (Invalid_argument
+       "Analysis.spec: an uncertain grid of 65 per axis has 4225 points, \
+        over the limit of 4096") (fun () ->
+      ignore (Analysis.spec ~scenario:(grid 65) gps));
+  let pinned = Optim.Box.make [| 1.; 1. |] [| 1.; 2. |] in
+  ignore (Analysis.spec ~scenario:(grid 4096) ~theta:pinned gps);
+  Alcotest.check_raises "1000 per axis on bikenet"
+    (Invalid_argument
+       "Analysis.spec: an uncertain grid of 1000 per axis has 1e+09 points, \
+        over the limit of 4096") (fun () ->
+      ignore (Analysis.spec ~scenario:(grid 1000) (Registry.find_exn "bikenet")))
 
 let test_spec_theta_override () =
   let box = Optim.Box.make [| 2. |] [| 3. |] in

@@ -1,4 +1,5 @@
 open Umf_numerics
+module Diff = Umf_reference.Diff
 open Umf_meanfield
 
 (* symbolic SIR (reduced 2-var): must agree with a closed-form drift *)

@@ -1,4 +1,5 @@
 open Umf_numerics
+module Diff = Umf_reference.Diff
 open Umf_meanfield
 open Umf_models
 

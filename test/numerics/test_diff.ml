@@ -1,4 +1,5 @@
 open Umf_numerics
+module Diff = Umf_reference.Diff
 
 let check_close tol msg expected actual =
   Alcotest.(check (float tol)) msg expected actual

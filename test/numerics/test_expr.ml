@@ -1,4 +1,5 @@
 open Umf_numerics
+module Diff = Umf_reference.Diff
 open Expr
 
 let check_float = Alcotest.(check (float 1e-12))

@@ -76,7 +76,7 @@ let () =
     [
       "analysis.transient_bounds";
       "uncertain.sweep";
-      "ode.integrate";
+      "ode.steps";
       "pontryagin.solve";
       "pontryagin.sweeps";
       "birkhoff.compute";

@@ -1,3 +1,5 @@
+open Umf_numerics
+
 let step h x = h *. Float.max 1. (Float.abs x)
 
 let derivative ?(h = 1e-6) f x =

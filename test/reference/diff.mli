@@ -1,4 +1,8 @@
-(** Finite-difference derivatives. *)
+(** Finite-difference derivatives: the oracle the exact symbolic
+    derivatives ({!Umf_numerics.Expr.diff_var}, the models' Jacobians)
+    are checked against. *)
+
+open Umf_numerics
 
 val derivative : ?h:float -> (float -> float) -> float -> float
 (** Central difference df/dx. *)
@@ -11,5 +15,4 @@ val jacobian : ?h:float -> (Vec.t -> Vec.t) -> Vec.t -> Mat.t
 
 val jacobian_tv : ?h:float -> (Vec.t -> Vec.t) -> Vec.t -> Vec.t -> Vec.t
 (** [jacobian_tv f x p] is Jᵀ p without materialising J — one gradient
-    of the scalar map [y ↦ f(y)·p].  This is the costate right-hand
-    side building block. *)
+    of the scalar map [y ↦ f(y)·p]. *)

@@ -326,8 +326,9 @@ let test_ctmc_overflow () =
          <> "Ctmc_of_population: state space exceeds max_states = 10"
       then fail "over-budget lattice lost the engine's message: %s" r)
 
-(* a piecewise count past the cap is refused before any search, and a
-   long piecewise search or simulation unwinds at its deadline *)
+(* a piecewise count or a θ grid past its cap is refused before any
+   work, and a long piecewise search, simulation or uncertain grid
+   unwinds at its deadline *)
 let test_long_requests () =
   with_server (fun t ->
       let answer req = parse (List.hd (Serve.process t [ req ])) in
@@ -339,6 +340,17 @@ let test_long_requests () =
       in
       if bool_member "ok" j || kind j <> "bad_request" then
         fail "piecewise 1000 is not a bad_request: %s" (Json.to_string j);
+      (* 1000 per axis on bikenet's three axes is 10^9 θ vectors *)
+      let j =
+        answer
+          "{\"op\":\"bounds\",\"model\":\"bikenet\",\
+           \"scenario\":{\"uncertain\":1000}}"
+      in
+      let message = str_member "message" (member "error" j) in
+      if bool_member "ok" j || kind j <> "bad_request"
+         || not (String.ends_with ~suffix:"over the limit of 4096" message)
+      then fail "uncertain 1000 is not a bad_request naming 4096: %s"
+          (Json.to_string j);
       List.iter
         (fun req ->
           let j = answer req in
@@ -352,6 +364,9 @@ let test_long_requests () =
            \"horizon\":100,\"deadline_ms\":100}";
           "{\"op\":\"simulate\",\"model\":\"sir\",\"n\":100,\
            \"reps\":1000000,\"deadline_ms\":100}";
+          "{\"op\":\"bounds\",\"model\":\"bikenet\",\"coord\":0,\
+           \"scenario\":{\"uncertain\":12},\"dt\":1e-4,\"horizon\":4,\
+           \"deadline_ms\":100}";
         ];
       (* each expired within a few deadlines, not after the full run *)
       let took = Unix.gettimeofday () -. t0 in
