@@ -6,7 +6,7 @@ open Umf
 let run () =
   Common.banner "CONV: mean-field convergence rate (Theorem 1)";
   let p = Sir.default_params in
-  let model = Sir.model p in
+  let model = Sir.make p in
   let times = Vec.linspace 0. 5. 11 in
   Common.header [ "N"; "mean_sup_error"; "error*sqrt(N)" ];
   let errors =

@@ -34,12 +34,11 @@ let epsilons = [ 0.2; 0.1; 0.05; 0.02 ]
 
 let imprecise_sir () =
   let model = Registry.find_exn "sir" in
-  let pop = Model.population model in
   let sp =
     Ctmc_of_population.state_space ~clip:(Model.clip model) ~max_states:2_000
-      ~truncation:`Adaptive pop ~n ~x0:(Model.x0 model)
+      ~truncation:`Adaptive model ~n ~x0:(Model.x0 model)
   in
-  let im = Ctmc_of_population.imprecise ~theta:(Model.theta model) sp pop in
+  let im = Ctmc_of_population.imprecise ~theta:(Model.theta model) sp model in
   im
 
 (* smallest power-of-two steps_per_unit whose fixed-grid certificate

@@ -46,13 +46,13 @@ let env_ints name default =
 let cores = Domain.recommended_domain_count ()
 
 let sir_space n =
-  let pop = Model.population (Sir.make Sir.default_params) in
-  let sp = Ctmc_of_population.state_space pop ~n ~x0:Sir.x0 in
-  (pop, sp)
+  let model = Sir.make Sir.default_params in
+  let sp = Ctmc_of_population.state_space model ~n ~x0:Sir.x0 in
+  (model, sp)
 
-let generator_at_mid ?pool ?obs pop sp =
-  Ctmc_of_population.generator ?pool ?obs sp pop
-    ~theta:(Optim.Box.midpoint pop.Population.theta)
+let generator_at_mid ?pool ?obs model sp =
+  Ctmc_of_population.generator ?pool ?obs sp model
+    ~theta:(Optim.Box.midpoint (Model.theta model))
 
 (* dense uniformisation with the same rate, weights and stopping rule
    as Transient.uniformization — the reference the sparse path must
@@ -93,9 +93,9 @@ let bitwise_equal a b =
 (* ---- dense vs sparse step at ~10^4 states ---- *)
 let step_timing () =
   let n = 140 in
-  let pop, sp = sir_space n in
+  let model, sp = sir_space n in
   let states = Ctmc_of_population.n_states sp in
-  let g = generator_at_mid pop sp in
+  let g = generator_at_mid model sp in
   let v = Vec.create states (1. /. float_of_int states) in
   (* dense: the matrix alone is states^2 floats (~800 MB here) *)
   let p = Umf_reference.Dense.uniformized g in
@@ -129,8 +129,8 @@ let step_timing () =
 
 (* ---- small-chain agreement with the dense reference ---- *)
 let accuracy () =
-  let pop, sp = sir_space 30 in
-  let g = generator_at_mid pop sp in
+  let model, sp = sir_space 30 in
+  let g = generator_at_mid model sp in
   let p0 = Ctmc_of_population.point_mass sp in
   let epsilon = 1e-12 in
   let sparse = fst (Ctmc.Transient.uniformization ~epsilon g ~p0 ~t:5.) in
@@ -155,8 +155,8 @@ let scaling () =
   let rows =
     List.concat_map
       (fun n ->
-        let pop, sp = sir_space n in
-        let g = generator_at_mid pop sp in
+        let model, sp = sir_space n in
+        let g = generator_at_mid model sp in
         let p0 = Ctmc_of_population.point_mass sp in
         let states = Ctmc_of_population.n_states sp in
         let reference = ref None in

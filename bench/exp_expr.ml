@@ -6,10 +6,10 @@
    - the naive [Expr.eval] interpreter (what the symbolic twins used
      on the hot path before compilation existed), and
    - the deleted hand-written closures.  For every model those were
-     per-transition rate closures consumed through the
-     [Population.drift] fold — reconstructed verbatim below — which
-     is the drift the solvers called through the closure inclusion
-     that [Di.of_model] replaced.
+     per-transition rate closures consumed through the Σ β ℓ fold of
+     the former closure population model — both reconstructed
+     verbatim below — which is the drift the solvers called through
+     the closure inclusion that [Di.of_model] replaced.
      SIR additionally had a bespoke Eq. (11) closed form; it is
      reported as a reference row (a two-line float expression kept in
      registers is the hard floor no interpreted representation can
@@ -29,22 +29,25 @@ let gpsp = Gps.default_params
 
 (* ---- the deleted hand-written rate closures, reconstructed ---- *)
 
+type legacy_transition = { change : Vec.t; rate : Vec.t -> Vec.t -> float }
+
+(* the closure model's drift: every rate closure called in turn and
+   accumulated into f along its change vector *)
+let legacy_drift transitions (x : Vec.t) theta =
+  let f = Vec.zeros (Vec.dim x) in
+  List.iter (fun tr -> Vec.axpy_in_place (tr.rate x theta) tr.change f) transitions;
+  f
+
 (* SIR transition rates exactly as they stood in lib/models/sir.ml *)
 let sir_legacy p =
-  let tr name change rate = { Population.name; change; rate } in
-  Population.make ~name:"sir-legacy" ~var_names:[| "S"; "I" |]
-    ~theta_names:[| "theta" |]
-    ~theta:
-      (Optim.Box.of_intervals
-         [ Interval.make p.Sir.theta_min p.Sir.theta_max ])
-    [
-      tr "infection" [| -1.; 1. |]
-        (fun (x : Vec.t) (th : Vec.t) ->
-          (p.Sir.a *. x.(0)) +. (th.(0) *. x.(0) *. x.(1)));
-      tr "recovery" [| 0.; -1. |] (fun x _ -> p.Sir.b *. x.(1));
-      tr "immunity-loss" [| 1.; 0. |]
-        (fun x _ -> p.Sir.c *. Float.max 0. (1. -. x.(0) -. x.(1)));
-    ]
+  let tr (_ : string) change rate = { change; rate } in
+  [
+    tr "infection" [| -1.; 1. |] (fun (x : Vec.t) (th : Vec.t) ->
+        (p.Sir.a *. x.(0)) +. (th.(0) *. x.(0) *. x.(1)));
+    tr "recovery" [| 0.; -1. |] (fun x _ -> p.Sir.b *. x.(1));
+    tr "immunity-loss" [| 1.; 0. |] (fun x _ ->
+        p.Sir.c *. Float.max 0. (1. -. x.(0) -. x.(1)));
+  ]
 
 (* Eq. (11) closed form — the deleted bespoke SIR drift; only SIR
    ever had one *)
@@ -78,16 +81,13 @@ let gps_legacy p =
     theta.(i - 1) *. gamma *. Float.max 0. (1. -. x.(i - 1))
   in
   let serve i (x : Vec.t) _theta = service ~q1:x.(0) ~q2:x.(1) i in
-  let tr name change rate = { Population.name; change; rate } in
-  Population.make ~name:"gps-legacy" ~var_names:[| "Q1"; "Q2" |]
-    ~theta_names:[| "lambda'1"; "lambda'2" |]
-    ~theta:(Model.theta (Gps.make_poisson p))
-    [
-      tr "arrival-1" [| 1. /. p.Gps.gamma1; 0. |] (arrival 1 p.Gps.gamma1);
-      tr "service-1" [| -1. /. p.Gps.gamma1; 0. |] (serve 1);
-      tr "arrival-2" [| 0.; 1. /. p.Gps.gamma2 |] (arrival 2 p.Gps.gamma2);
-      tr "service-2" [| 0.; -1. /. p.Gps.gamma2 |] (serve 2);
-    ]
+  let tr (_ : string) change rate = { change; rate } in
+  [
+    tr "arrival-1" [| 1. /. p.Gps.gamma1; 0. |] (arrival 1 p.Gps.gamma1);
+    tr "service-1" [| -1. /. p.Gps.gamma1; 0. |] (serve 1);
+    tr "arrival-2" [| 0.; 1. /. p.Gps.gamma2 |] (arrival 2 p.Gps.gamma2);
+    tr "service-2" [| 0.; -1. /. p.Gps.gamma2 |] (serve 2);
+  ]
 
 (* cycle through a fixed bag of in-box points so the guards see both
    branches and the timing is not one perfectly predicted trace *)
@@ -135,7 +135,7 @@ let drift_rows name model legacy =
         out.(0))
   in
   let legacy_ns, s3 =
-    time_per_eval points (fun x th -> (Population.drift legacy x th).(0))
+    time_per_eval points (fun x th -> (legacy_drift legacy x th).(0))
   in
   ignore (s1 +. s2 +. s3);
   let ratio = compiled_ns /. legacy_ns in

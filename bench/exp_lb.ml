@@ -55,7 +55,7 @@ let run () =
   (* stochastic cross-check at N = 500 *)
   let p2 = params 2 in
   let avg =
-    Ssa.time_average (Loadbalance.model p2) ~n:500
+    Ssa.time_average (Loadbalance.make p2) ~n:500
       ~x0:(Loadbalance.x0_empty p2)
       ~policy:(Policy.constant [| 0.9 |])
       ~tmax:60. ~warmup:20. ~reward:Loadbalance.mean_queue (Rng.create 3)

@@ -11,7 +11,7 @@ let p = Sir.default_params
 
 let di = Sir.di p
 
-let model = Sir.model p
+let model = Sir.make p
 
 let clip = Optim.Box.make [| 0.; 0. |] [| 1.; 1. |]
 

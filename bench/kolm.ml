@@ -5,6 +5,13 @@
    simulations. *)
 open Umf
 
+(* the precise chain of an imprecise one at its v-th θ-vertex *)
+let vertex_generator m v =
+  Generator.make ~n:(Ctmc.Imprecise.n_states m)
+    (List.map
+       (fun tr -> Ctmc.Imprecise.(tr.src, tr.dst, tr.rates.(v)))
+       (Ctmc.Imprecise.transitions m))
+
 let run () =
   Common.banner "KOLM: bike station imprecise Kolmogorov bounds";
   let p = Bikesharing.default_params in
@@ -21,11 +28,14 @@ let run () =
         (Ctmc.Imprecise.fixed_series ~sense m ~h ~times:[| t |]).values.(0).(x0)
       in
       let lo = sweep `Lower and hi = sweep `Upper in
-      let theta_mid =
-        [| Interval.midpoint p.Bikesharing.arrival;
-           Interval.midpoint p.Bikesharing.return_ |]
+      (* the station at constant mid θ: a point box, one vertex *)
+      let point iv =
+        Interval.make (Interval.midpoint iv) (Interval.midpoint iv)
       in
-      let g = Ctmc.Imprecise.generator_at m theta_mid in
+      let mid_p =
+        { Bikesharing.arrival = point p.arrival; return_ = point p.return_ }
+      in
+      let g = vertex_generator (Bikesharing.ictmc mid_p ~capacity) 0 in
       let p0 = Array.init (capacity + 1) (fun i -> if i = x0 then 1. else 0.) in
       let mid = Vec.dot (fst (Ctmc.Transient.uniformization g ~p0 ~t)) h in
       if not (lo -. 1e-3 <= mid && mid <= hi +. 1e-3) then sound := false;
@@ -43,10 +53,22 @@ let run () =
     if x > capacity / 2 then [| Interval.hi p.Bikesharing.arrival; Interval.lo p.Bikesharing.return_ |]
     else [| Interval.lo p.Bikesharing.arrival; Interval.hi p.Bikesharing.return_ |]
   in
+  (* the policy plays vertices of Θ: exact thinning over the vertex
+     generators *)
+  let vertices = Optim.Box.vertices (Ctmc.Imprecise.theta_box m) in
+  let gens =
+    Array.of_list (List.mapi (fun v _ -> vertex_generator m v) vertices)
+  in
+  let at_vertex th = gens.(Option.get (List.find_index (( = ) th) vertices)) in
+  let rate_bound = Ctmc.Imprecise.max_exit_bound m *. 1.000001 in
   let rng = Rng.create 5 in
   let acc = Stats.Running.create () in
   for _ = 1 to 2000 do
-    let path = Ctmc.Imprecise.simulate rng m policy ~x0 ~tmax:horizon in
+    let path =
+      Ctmc_simulate.run_imprecise ~rate_bound rng
+        (fun ~t ~x -> at_vertex (policy ~t ~x))
+        ~x0 ~tmax:horizon
+    in
     Stats.Running.add acc h.(Ctmc_path.final_state path)
   done;
   let mean = Stats.Running.mean acc in

@@ -48,17 +48,35 @@ let () =
     "\nlarge-station fluid limit: occupancy after 0.4 rescaled time units\n\
      can be anywhere in [%.2f, %.2f] of capacity\n" lo hi;
 
-  (* simulate a small station under a rush-hour-like policy *)
+  (* simulate a small station under a rush-hour-like policy: heavy
+     pickups and slow returns for three hours, then the reverse.  Both
+     phases sit at vertices of the parameter box, so each is the precise
+     chain with the station's rates at that vertex *)
   let m = Bikesharing.ictmc p ~capacity:12 in
-  let rush ~t ~x:_ =
-    if t < 3. then [| Interval.hi p.Bikesharing.arrival; Interval.lo p.Bikesharing.return_ |]
-    else [| Interval.lo p.Bikesharing.arrival; Interval.hi p.Bikesharing.return_ |]
+  let vertices = Optim.Box.vertices (Ctmc.Imprecise.theta_box m) in
+  let vertex_generator theta =
+    let v = Option.get (List.find_index (( = ) theta) vertices) in
+    Generator.make ~n:(Ctmc.Imprecise.n_states m)
+      (List.map
+         (fun tr -> Ctmc.Imprecise.(tr.src, tr.dst, tr.rates.(v)))
+         (Ctmc.Imprecise.transitions m))
   in
+  let rush_hour =
+    vertex_generator
+      [| Interval.hi p.Bikesharing.arrival; Interval.lo p.Bikesharing.return_ |]
+  and evening =
+    vertex_generator
+      [| Interval.lo p.Bikesharing.arrival; Interval.hi p.Bikesharing.return_ |]
+  in
+  let rush ~t ~x:_ = if t < 3. then rush_hour else evening in
+  let rate_bound = Ctmc.Imprecise.max_exit_bound m *. 1.000001 in
   let rng = Rng.create 2 in
   let empty_runs = ref 0 in
   let runs = 1000 in
   for _ = 1 to runs do
-    let path = Ctmc.Imprecise.simulate rng m rush ~x0:6 ~tmax:horizon in
+    let path =
+      Ctmc_simulate.run_imprecise ~rate_bound rng rush ~x0:6 ~tmax:horizon
+    in
     let hit_empty = ref false in
     Array.iter (fun s -> if s = 0 then hit_empty := true) path.Ctmc_path.states;
     if !hit_empty then incr empty_runs

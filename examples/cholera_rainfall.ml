@@ -64,7 +64,7 @@ let () =
 
   (* validate against a finite community: the infected level at week 8
      under a seasonal rainfall pattern stays within the imprecise bounds *)
-  let model = Cholera.model p in
+  let model = Cholera.make p in
   let rng = Rng.create 11 in
   let monsoon =
     Policy.feedback "monsoon" (fun t _x ->

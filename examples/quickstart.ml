@@ -59,7 +59,7 @@ let () =
   in
   let rng = Rng.create 42 in
   let final =
-    Ssa.final (Model.population model) ~n:50 ~x0 ~policy:adversary ~tmax:5. rng
+    Ssa.final model ~n:50 ~x0 ~policy:adversary ~tmax:5. rng
   in
   Printf.printf "\nN=50 sample run under adversarial environment: %.0f%% down at t=5\n"
     (100. *. final.(0));

@@ -51,22 +51,9 @@ let spec ?(scenario = Imprecise) ?theta ?(horizon = 10.) ?(steps = 400)
   (match scenario with
   | Uncertain g when g < 2 -> invalid_arg "Analysis.spec: need grid >= 2"
   | Uncertain g ->
-      (* the θ grid is built whole before any deadline can stop it, so
-         a fixed cap bounds its points over the effective Θ; a
-         degenerate axis holds one point, as in [Optim.Box.sample_grid] *)
-      let box = Option.value theta ~default:(Model.theta model) in
-      let points = ref 1. in
-      Array.iteri
-        (fun j lo ->
-          if lo <> box.Optim.Box.hi.(j) then
-            points := !points *. float_of_int g)
-        box.Optim.Box.lo;
-      if !points > 4096. then
-        invalid_arg
-          (Printf.sprintf
-             "Analysis.spec: an uncertain grid of %d per axis has %g points, \
-              over the limit of 4096"
-             g !points)
+      Optim.Box.check_grid ~who:"Analysis.spec"
+        (Option.value theta ~default:(Model.theta model))
+        g
   | Piecewise k when k < 1 || k > 64 ->
       (* a fixed cap keeps one search bounded: past the exhaustive
          range its cost grows linearly in k *)
@@ -244,8 +231,7 @@ let stationary_cloud s ~n ~x0 ~policy ~warmup ~samples ~seed =
   in
   let states, metrics =
     instrumented s "analysis.stationary_cloud" (fun obs ->
-        Ssa.sampled ~obs (Model.population s.model) ~n ~x0 ~policy ~times
-          (Rng.create seed))
+        Ssa.sampled ~obs s.model ~n ~x0 ~policy ~times (Rng.create seed))
   in
   { times; states; metrics }
 
@@ -380,20 +366,19 @@ let first_passage ?times ?(epsilon = 1e-3) ?(max_states = 20_000) s ~n
   let box =
     match s.theta with Some b -> b | None -> Model.theta s.model
   in
-  let pop = Model.population s.model in
   let result, metrics =
     instrumented s "analysis.first_passage" (fun obs ->
         let sp =
           Ctmc_of_population.state_space ~obs ~theta:box
-            ~clip:(Model.clip s.model) ~max_states ~truncation:`Adaptive pop
-            ~n ~x0:(Model.x0 s.model)
+            ~clip:(Model.clip s.model) ~max_states ~truncation:`Adaptive
+            s.model ~n ~x0:(Model.x0 s.model)
         in
         let states = Ctmc_of_population.n_states sp in
         let ind =
           Ctmc_of_population.reward sp (fun x ->
               if target x then 1. else 0.)
         in
-        let im = Ctmc_of_population.imprecise ~theta:box sp pop in
+        let im = Ctmc_of_population.imprecise ~theta:box sp s.model in
         let has_sink = Imprecise.n_states im > states in
         let im =
           Imprecise.absorbing im ~target:(fun i ->

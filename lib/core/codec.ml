@@ -587,9 +587,8 @@ let eval spec op =
         | `Finals reps ->
             if reps < 1 then bad "need at least one replication";
             let finals =
-              Ssa.replicate ?pool:spec.Analysis.pool ~obs:spec.Analysis.obs
-                (Model.population m) ~n ~x0 ~policy
-                ~tmax:spec.Analysis.horizon ~reps ~seed
+              Ssa.replicate ?pool:spec.Analysis.pool ~obs:spec.Analysis.obs m
+                ~n ~x0 ~policy ~tmax:spec.Analysis.horizon ~reps ~seed
             in
             let mean =
               Array.init (Model.dim m) (fun c ->

@@ -14,7 +14,6 @@ module Generator = Umf_ctmc.Generator
 module Ctmc_path = Umf_ctmc.Path
 module Ctmc_simulate = Umf_ctmc.Simulate
 module Stationary = Umf_ctmc.Stationary
-module Population = Umf_meanfield.Population
 module Ctmc_of_population = Umf_meanfield.Ctmc_of_population
 module Model = Umf_meanfield.Model
 module Policy = Umf_meanfield.Policy

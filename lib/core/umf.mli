@@ -3,8 +3,8 @@
     Umbrella interface of the library reproducing Bortolussi & Gast,
     {e Mean Field Approximation of Uncertain Stochastic Models}
     (DSN 2016).  Model a system of N interacting agents as a
-    {!Population} of transition classes with parameters ranging in a
-    box Θ, then analyse:
+    {!Model} of transition classes with parameters ranging in a box Θ,
+    then analyse:
 
     - the {e uncertain} scenario (θ constant but unknown) with
       {!Uncertain} sweeps, and
@@ -43,7 +43,6 @@ module Ctmc_simulate = Umf_ctmc.Simulate
 module Stationary = Umf_ctmc.Stationary
 
 (* population models and their simulation *)
-module Population = Umf_meanfield.Population
 module Ctmc_of_population = Umf_meanfield.Ctmc_of_population
 module Model = Umf_meanfield.Model
 module Policy = Umf_meanfield.Policy

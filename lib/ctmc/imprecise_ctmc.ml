@@ -2,96 +2,68 @@ open Umf_numerics
 module Pool = Umf_runtime.Runtime.Pool
 module Obs = Umf_obs.Obs
 
-type transition = { src : int; dst : int; rate : Vec.t -> float }
-
-(* Static per-state row layout: merged destinations in ascending order
-   (exactly the row [Generator.make] would produce) plus, for each
-   transition of [by_src.(x)], the slot its rate accumulates into.
-   Lets the simulator rebuild a state's outgoing row in O(out-degree)
-   without constructing a [Generator.t]. *)
-type row_layout = { dsts : int array; slot : int array }
+type transition = { src : int; dst : int; rates : float array }
 
 type t = {
   n : int;
   theta : Optim.Box.t;
+  n_vertices : int;
   by_src : transition array array;
-  theta_vertices : Vec.t list;
-  layout : row_layout array;
+      (* per state, its transitions in the order [make] was given them *)
 }
-
-let layout_of_row row =
-  let m = Array.length row in
-  let sorted = Array.map (fun tr -> tr.dst) row in
-  Array.sort compare sorted;
-  let uniq = ref [] in
-  Array.iteri
-    (fun i d -> if i = 0 || d <> sorted.(i - 1) then uniq := d :: !uniq)
-    sorted;
-  let dsts = Array.of_list (List.rev !uniq) in
-  let index_of d =
-    let lo = ref 0 and hi = ref (Array.length dsts - 1) in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if dsts.(mid) < d then lo := mid + 1 else hi := mid
-    done;
-    !lo
-  in
-  let slot = Array.make m 0 in
-  Array.iteri (fun i tr -> slot.(i) <- index_of tr.dst) row;
-  { dsts; slot }
 
 let make ~n ~theta transitions =
   if n <= 0 then invalid_arg "Imprecise_ctmc.make: need n > 0";
+  let nv = List.length (Optim.Box.vertices theta) in
   let acc = Array.make n [] in
   List.iter
     (fun tr ->
       if tr.src < 0 || tr.src >= n || tr.dst < 0 || tr.dst >= n then
         invalid_arg "Imprecise_ctmc.make: state out of range";
       if tr.src = tr.dst then invalid_arg "Imprecise_ctmc.make: self loop";
+      if Array.length tr.rates <> nv then
+        invalid_arg
+          (Printf.sprintf
+             "Imprecise_ctmc.make: transition %d -> %d has %d rates for %d \
+              theta vertices"
+             tr.src tr.dst (Array.length tr.rates) nv);
+      (* the sweep's convex-combination bound needs rates >= 0 on Θ;
+         for rates affine in θ the vertices decide that *)
+      Array.iteri
+        (fun v r ->
+          if not (r >= 0.) then
+            invalid_arg
+              (Printf.sprintf
+                 "Imprecise_ctmc.make: transition %d -> %d has rate %g at \
+                  theta vertex %d"
+                 tr.src tr.dst r v))
+        tr.rates;
       acc.(tr.src) <- tr :: acc.(tr.src))
     transitions;
-  let by_src = Array.map Array.of_list acc in
   {
     n;
     theta;
-    by_src;
-    theta_vertices = Optim.Box.vertices theta;
-    layout = Array.map layout_of_row by_src;
+    n_vertices = nv;
+    by_src = Array.map (fun l -> Array.of_list (List.rev l)) acc;
   }
 
 let n_states m = m.n
 
 let theta_box m = m.theta
 
-let generator_at m theta =
-  let triples = ref [] in
-  Array.iter
-    (Array.iter (fun tr ->
-         let r = tr.rate theta in
-         if r < 0. then invalid_arg "Imprecise_ctmc: negative rate at theta";
-         if r > 0. then triples := (tr.src, tr.dst, r) :: !triples))
-    m.by_src;
-  Generator.make ~n:m.n !triples
-
-(* (Q^θ g)(x) for a given state x: the backward operator row *)
-let row_value m g x theta =
-  Array.fold_left
-    (fun acc tr -> acc +. (tr.rate theta *. (g.(tr.dst) -. g.(x))))
-    0. m.by_src.(x)
+let transitions m = List.concat_map Array.to_list (Array.to_list m.by_src)
 
 let max_exit_bound m =
   (* conservative uniformisation rate: max over θ-vertices of the exit
      rates (exact for rates monotone in θ, e.g. affine) *)
   let best = ref 1e-9 in
-  for x = 0 to m.n - 1 do
-    List.iter
-      (fun theta ->
-        let e =
-          Array.fold_left (fun acc tr -> acc +. tr.rate theta) 0. m.by_src.(x)
-        in
-        if e > !best then best := e)
-      m.theta_vertices
-  done;
+  Array.iter
+    (fun row ->
+      for v = 0 to m.n_vertices - 1 do
+        let e = Array.fold_left (fun acc tr -> acc +. tr.rates.(v)) 0. row in
+        if e > !best then best := e
+      done)
+    m.by_src;
   !best
 
 let steps_for ?steps_per_unit ~lambda duration =
@@ -120,15 +92,19 @@ let sweep_chunk = 1024
 
 let step_body pick m ~dt ~hmin ~hmax cur nxt lo hi =
   for x = lo to hi - 1 do
-    (* extremise the backward operator over the θ-vertices *)
-    let best = ref None in
-    List.iter
-      (fun theta ->
-        let v = row_value m cur x theta in
-        best := Some (match !best with None -> v | Some b -> pick v b))
-      m.theta_vertices;
-    let rate = match !best with None -> 0. | Some v -> v in
-    let v = cur.(x) +. (dt *. rate) in
+    let gx = cur.(x) and row = m.by_src.(x) in
+    (* extremise the backward operator row (Q^θ g)(x) over the
+       θ-vertices, keeping the first on ties *)
+    let best = ref 0. in
+    for v = 0 to m.n_vertices - 1 do
+      let q = ref 0. in
+      for k = 0 to Array.length row - 1 do
+        let tr = row.(k) in
+        q := !q +. (tr.rates.(v) *. (cur.(tr.dst) -. gx))
+      done;
+      best := if v = 0 then !q else pick !q !best
+    done;
+    let v = gx +. (dt *. !best) in
     nxt.(x) <- (if v < hmin then hmin else if v > hmax then hmax else v)
   done
 
@@ -209,10 +185,9 @@ let rounding_per_step m ~hmin ~hmax ~lambda =
       (fun acc row -> Stdlib.max acc (Array.length row))
       0 m.by_src
   in
-  let n_vert = List.length m.theta_vertices in
   let scale = Float.max (Float.abs hmin) (Float.abs hmax) in
   let magnitude = Float.max scale (lambda *. (hmax -. hmin)) in
-  float_of_int ((3 * max_row * n_vert) + 4) *. epsilon_float *. magnitude
+  float_of_int ((3 * max_row * m.n_vertices) + 4) *. epsilon_float *. magnitude
 
 (* A-priori Euler error of one segment at fixed step size δ:
    the local truncation error of d/dt g = Q̲g is
@@ -329,67 +304,4 @@ let adaptive_series ?pool ?(obs = Obs.off) ~epsilon ~sense m ~h ~times =
   { values; eps; rounding; steps = !total_steps }
 
 let absorbing m ~target =
-  let trs = ref [] in
-  Array.iter
-    (Array.iter (fun tr -> if not (target tr.src) then trs := tr :: !trs))
-    m.by_src;
-  make ~n:m.n ~theta:m.theta !trs
-
-type policy = t:float -> x:int -> Vec.t
-
-let constant_policy theta ~t:_ ~x:_ = theta
-
-(* Rebuild state [x]'s merged outgoing row at θ into [rates]
-   (accumulation order matches [generator_at]'s duplicate merge, so
-   summed rates are bit-identical to the Generator path). *)
-let fill_row m rates x theta =
-  Array.fill rates 0 (Array.length rates) 0.;
-  let lay = m.layout.(x) in
-  Array.iteri
-    (fun i tr ->
-      let r = tr.rate theta in
-      if r < 0. then invalid_arg "Imprecise_ctmc: negative rate at theta";
-      rates.(lay.slot.(i)) <- rates.(lay.slot.(i)) +. r)
-    m.by_src.(x)
-
-let simulate ?(cache = 64) rng m policy ~x0 ~tmax =
-  if cache < 0 then invalid_arg "Imprecise_ctmc.simulate: cache < 0";
-  (* per-θ cache of fully materialised rate rows — for (near-)constant
-     policies every jump after the first is a table lookup instead of a
-     full generator rebuild.  On overflow (more distinct θ than [cache]
-     slots, e.g. a time-continuous policy) only the current state's row
-     is rebuilt, into a reused scratch buffer. *)
-  let tbl : (Vec.t, float array array) Hashtbl.t =
-    Hashtbl.create (Stdlib.max 1 (Stdlib.min cache 64))
-  in
-  let scratch =
-    Array.map (fun lay -> Array.make (Array.length lay.dsts) 0.) m.layout
-  in
-  let rates_for theta x =
-    match Hashtbl.find_opt tbl theta with
-    | Some rows -> rows.(x)
-    | None ->
-        if Hashtbl.length tbl < cache then begin
-          let rows =
-            Array.map
-              (fun lay -> Array.make (Array.length lay.dsts) 0.)
-              m.layout
-          in
-          for s = 0 to m.n - 1 do
-            fill_row m rows.(s) s theta
-          done;
-          Hashtbl.add tbl (Vec.copy theta) rows;
-          rows.(x)
-        end
-        else begin
-          fill_row m scratch.(x) x theta;
-          scratch.(x)
-        end
-  in
-  Simulate.run_imprecise_rows
-    ~rate_bound:(max_exit_bound m *. 1.000001)
-    rng
-    (fun ~t ~x ->
-      let theta = Optim.Box.clamp m.theta (policy ~t ~x) in
-      (m.layout.(x).dsts, rates_for theta x))
-    ~x0 ~tmax
+  { m with by_src = Array.mapi (fun x row -> if target x then [||] else row) m.by_src }

@@ -20,30 +20,40 @@
     its extremum over a box is attained at a vertex) — the common case
     for the paper's models, and what [Umf_lint] checks via the model's
     [affine_in_theta] flag.  For rates non-affine in θ the vertex sweep
-    yields inner bounds only. *)
+    yields inner bounds only.
+
+    The chain is plain data: each transition carries its rates at the
+    vertices of Θ, tabulated once when the chain is built, and every
+    backward-sweep step reads those floats. *)
 
 open Umf_numerics
 
-type transition = { src : int; dst : int; rate : Vec.t -> float }
-(** One parametrised transition; [rate θ] must be >= 0 on Θ. *)
+type transition = { src : int; dst : int; rates : float array }
+(** One parametrised transition: [rates.(v)] is its rate at the v-th
+    vertex of the chain's θ-box, in [Optim.Box.vertices] order. *)
 
 type t
 
 val make : n:int -> theta:Optim.Box.t -> transition list -> t
-(** @raise Invalid_argument on out-of-range states or self loops. *)
+(** The transitions out of each state keep the order of the list.
+    @raise Invalid_argument on out-of-range states, self loops, a
+    transition whose rate count differs from the θ-box's vertex count,
+    or a negative or NaN vertex rate (the backward sweep's
+    convex-combination bound needs rates >= 0 on Θ, which for rates
+    affine in θ the vertices decide). *)
 
 val n_states : t -> int
 
 val theta_box : t -> Optim.Box.t
 
-val generator_at : t -> Vec.t -> Generator.t
-(** The precise generator for a fixed θ.
-    @raise Invalid_argument if some rate is negative at θ. *)
+val transitions : t -> transition list
+(** Every transition, by source state and, within a state, in the
+    order given to {!make}. *)
 
 val max_exit_bound : t -> float
 (** An upper bound on every exit rate over Θ: the maximum over the
     θ-vertices (exact for rates monotone in each θ component, e.g.
-    affine).  The uniformisation rate used by {!simulate}. *)
+    affine) — the uniformisation rate of the backward sweeps. *)
 
 type sense = [ `Lower | `Upper ]
 (** Which extremum of the backward operator the sweep integrates. *)
@@ -112,25 +122,3 @@ val absorbing : t -> target:(int -> bool) -> t
     indicator of the target set as reward, the backward sweep on the
     absorbed chain bounds hitting probabilities
     P(τ_target <= horizon | X_0 = x). *)
-
-type policy = t:float -> x:int -> Vec.t
-(** An adapted parameter policy: observes time and current state,
-    returns θ ∈ Θ. *)
-
-val constant_policy : Vec.t -> policy
-
-val simulate :
-  ?cache:int -> Rng.t -> t -> policy -> x0:int -> tmax:float -> Path.t
-(** Simulate the chain under a policy (θ frozen between jumps) by exact
-    thinning at rate {!max_exit_bound}.
-
-    Outgoing rows are rebuilt from a static per-state layout instead of
-    constructing a full generator at every jump: rows for up to [cache]
-    distinct θ values (default 64) are materialised once and reused —
-    for a constant policy every jump after the first is a lookup — and
-    past the cache bound only the current state's row is recomputed
-    into a reused scratch buffer.  Sample paths are draw-for-draw
-    identical for every [cache] value (including 0) and to the former
-    rebuild-per-jump implementation.
-    @raise Invalid_argument if [cache < 0] or some rate is negative on
-    Θ. *)

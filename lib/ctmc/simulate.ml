@@ -65,41 +65,6 @@ let run_thinned rng gen_at ~x0 ~tmax ~rate_bound =
     ~states:(Array.of_list (List.rev !states))
     ~horizon:tmax
 
-(* Row-level thinning: the caller supplies merged outgoing rows
-   [(dsts, rates)] directly (destinations ascending, zero rates
-   allowed), skipping Generator construction entirely.  Draw-for-draw
-   identical to [run_thinned] on the equivalent generator: the exit
-   rate is the same left fold over the merged row, and zero-rate slots
-   are never selected by [Rng.categorical] nor consume extra
-   randomness. *)
-let run_imprecise_rows rng row_at ~x0 ~tmax ~rate_bound =
-  if tmax < 0. then invalid_arg "Simulate.run: negative horizon";
-  if rate_bound <= 0. then invalid_arg "Simulate: rate_bound <= 0";
-  let times = ref [ 0. ] and states = ref [ x0 ] in
-  let t = ref 0. and x = ref x0 in
-  while !t < tmax do
-    let dt = Rng.exponential rng rate_bound in
-    let t' = !t +. dt in
-    if t' >= tmax then t := tmax
-    else begin
-      t := t';
-      let dsts, rates = row_at ~t:t' ~x:!x in
-      let exit = Array.fold_left ( +. ) 0. rates in
-      if exit > rate_bound *. (1. +. 1e-9) then
-        invalid_arg "Simulate: rate_bound exceeded";
-      if Rng.float rng < exit /. rate_bound then begin
-        let k = Rng.categorical rng rates in
-        x := dsts.(k);
-        times := t' :: !times;
-        states := !x :: !states
-      end
-    end
-  done;
-  Path.make
-    ~times:(Array.of_list (List.rev !times))
-    ~states:(Array.of_list (List.rev !states))
-    ~horizon:tmax
-
 let run_imprecise ?rate_bound rng gen_at ~x0 ~tmax =
   match rate_bound with
   | Some rb -> run_thinned rng gen_at ~x0 ~tmax ~rate_bound:rb

@@ -23,22 +23,6 @@ val run_imprecise :
     epochs.
     @raise Invalid_argument if an exit rate exceeds [rate_bound]. *)
 
-val run_imprecise_rows :
-  Umf_numerics.Rng.t ->
-  (t:float -> x:int -> int array * float array) ->
-  x0:int ->
-  tmax:float ->
-  rate_bound:float ->
-  Path.t
-(** Thinning simulation fed by merged outgoing rows [(dsts, rates)]
-    instead of a [Generator.t] — destinations ascending, zero rates
-    allowed.  Skips generator construction on every jump; draw-for-draw
-    identical to the [rate_bound] path of {!run_imprecise} on the
-    equivalent generator (zero-rate slots are never selected and
-    consume no extra randomness).  The returned arrays are read before
-    the next [row_at] call, so callers may reuse buffers.
-    @raise Invalid_argument if an exit rate exceeds [rate_bound]. *)
-
 val mean_reward :
   Umf_numerics.Rng.t ->
   Generator.t ->

@@ -12,7 +12,7 @@ let error_vs_limit model ~n ~theta ~x0 ~times ~runs ~seed =
   if m = 0 then invalid_arg "Convergence.error_vs_limit: no sample times";
   let tmax = times.(m - 1) in
   let limit =
-    Ode.integrate (Population.drift_rhs model ~theta) ~t0:0. ~y0:x0 ~t1:tmax
+    Ode.integrate (fun _t x -> Model.drift model x theta) ~t0:0. ~y0:x0 ~t1:tmax
       ~dt:(tmax /. 2000.)
   in
   let limit_states = Array.map (Ode.Traj.at limit) times in

@@ -12,7 +12,7 @@ val sup_distance :
     interpolated trajectories. *)
 
 val error_vs_limit :
-  Population.t ->
+  Model.t ->
   n:int ->
   theta:Vec.t ->
   x0:Vec.t ->
@@ -22,4 +22,4 @@ val error_vs_limit :
   float
 (** Average (over [runs] independent simulations) sup-distance between
     the size-N process under constant θ and the mean-field ODE solution
-    — should decay like O(1/√N). *)
+    (RK4 on {!Model.drift}, 2000 steps) — should decay like O(1/√N). *)

@@ -12,7 +12,7 @@ type space = {
   (* per transition class: integer change vector and, per state, the
      support flag found during enumeration *)
   changes : int array array;
-  probes : Vec.t list;
+  probes : Vec.t array;
   (* rates at or below this threshold are treated as structural zeros:
      boundary rates like max(0, 1 - s - i) do not vanish exactly in
      floating point, and without a threshold the roundoff residue
@@ -48,9 +48,9 @@ let point_mass sp =
 
 let reward sp f = Array.map f sp.dens
 
-let int_changes (pop : Population.t) =
+let int_changes (trs : Model.transition array) =
   Array.map
-    (fun (tr : Population.transition) ->
+    (fun (tr : Model.transition) ->
       Array.map
         (fun c ->
           let r = Float.round c in
@@ -60,28 +60,58 @@ let int_changes (pop : Population.t) =
              ^ tr.name);
           int_of_float r)
         tr.change)
-    pop.transitions
+    trs
+
+(* Support probing: [support model ~probes ~tol x ti] says whether
+   transition [ti] is supported at density [x] — its rate exceeds [tol]
+   at some probe θ, tried in probe order and stopping at the first that
+   does.  Applying it to [x] starts a fresh per-state cache, so the
+   rates plan runs at most once per probe and state, and only for
+   probes some transition reaches.
+   @raise Invalid_argument on a NaN rate the search reads. *)
+let support model ~probes ~tol =
+  let plan = Model.rates_plan model in
+  let trs = Array.of_list (Model.transitions model) in
+  let rates = Array.map (fun _ -> Vec.zeros (Array.length trs)) probes in
+  let probed = Array.make (Array.length probes) false in
+  fun x ->
+    Array.fill probed 0 (Array.length probed) false;
+    fun ti ->
+      let rec go j =
+        j < Array.length probes
+        &&
+        (if not probed.(j) then begin
+           Tape.Plan.run plan ~x ~th:probes.(j) ~out:rates.(j);
+           probed.(j) <- true
+         end;
+         let r = rates.(j).(ti) in
+         if Float.is_nan r then
+           invalid_arg
+             ("Ctmc_of_population: NaN rate in transition " ^ trs.(ti).Model.name);
+         r > tol || go (j + 1))
+      in
+      go 0
 
 let density_of ~nf c = Array.map (fun k -> float_of_int k /. nf) c
 
 let state_space ?(obs = Obs.off) ?theta ?clip ?(max_states = 2_000_000)
-    ?(support_tol = 1e-12) ?(truncation = `Exact) (pop : Population.t) ~n ~x0
-    =
+    ?(support_tol = 1e-12) ?(truncation = `Exact) model ~n ~x0 =
   if n <= 0 then invalid_arg "Ctmc_of_population: need n > 0";
   if not (support_tol >= 0.) then
     invalid_arg "Ctmc_of_population: support_tol < 0";
-  if Vec.dim x0 <> pop.dim then
+  let dim = Model.dim model in
+  if Vec.dim x0 <> dim then
     invalid_arg "Ctmc_of_population: x0 dimension mismatch";
-  let theta_box = match theta with Some b -> b | None -> pop.theta in
-  if Optim.Box.dim theta_box <> Array.length pop.theta_names then
+  let theta_box = match theta with Some b -> b | None -> Model.theta model in
+  if Optim.Box.dim theta_box <> Model.theta_dim model then
     invalid_arg "Ctmc_of_population: theta box dimension mismatch";
   let clip =
     match clip with
     | Some b ->
-        if Optim.Box.dim b <> pop.dim then
+        if Optim.Box.dim b <> dim then
           invalid_arg "Ctmc_of_population: clip dimension mismatch";
         b
-    | None -> Optim.Box.make (Vec.zeros pop.dim) (Vec.create pop.dim 1.)
+    | None -> Optim.Box.make (Vec.zeros dim) (Vec.create dim 1.)
   in
   let sp = Obs.span_begin obs "ctmc.state_space" in
   let nf = float_of_int n in
@@ -130,8 +160,11 @@ let state_space ?(obs = Obs.off) ?theta ?clip ?(max_states = 2_000_000)
       if c < lo.(i) || c > hi.(i) then
         invalid_arg "Ctmc_of_population: x0 outside clip box")
     c0;
-  let changes = int_changes pop in
-  let probes = Optim.Box.midpoint theta_box :: Optim.Box.vertices theta_box in
+  let trs = Array.of_list (Model.transitions model) in
+  let changes = int_changes trs in
+  let probes =
+    Array.of_list (Optim.Box.midpoint theta_box :: Optim.Box.vertices theta_box)
+  in
   let index = Hashtbl.create 4096 in
   let states = ref [] and n_found = ref 0 in
   let adaptive = truncation = `Adaptive in
@@ -162,23 +195,13 @@ let state_space ?(obs = Obs.off) ?theta ?clip ?(max_states = 2_000_000)
   in
   if not (add c0) then
     invalid_arg "Ctmc_of_population: max_states < 1";
-  let dim = pop.dim in
+  let support = support model ~probes ~tol:support_tol in
   while not (Queue.is_empty queue) do
     let c = Queue.pop queue in
-    let x = density_of ~nf c in
+    let supported = support (density_of ~nf c) in
     Array.iteri
-      (fun ti (tr : Population.transition) ->
-        let supported =
-          List.exists
-            (fun th ->
-              let r = tr.rate x th in
-              if Float.is_nan r then
-                invalid_arg
-                  ("Ctmc_of_population: NaN rate in transition " ^ tr.name);
-              r > support_tol)
-            probes
-        in
-        if supported then begin
+      (fun ti (tr : Model.transition) ->
+        if supported ti then begin
           let c' = Array.mapi (fun i k -> k + changes.(ti).(i)) c in
           let inside = ref true in
           for i = 0 to dim - 1 do
@@ -195,7 +218,7 @@ let state_space ?(obs = Obs.off) ?theta ?clip ?(max_states = 2_000_000)
           end
           else if not (Hashtbl.mem index c') then ignore (add c' : bool)
         end)
-      pop.transitions
+      trs
   done;
   let counts = Array.of_list (List.rev !states) in
   let dens = Array.map (density_of ~nf) counts in
@@ -223,17 +246,14 @@ let state_space ?(obs = Obs.off) ?theta ?clip ?(max_states = 2_000_000)
   }
 
 (* Row assembly for one source state: absolute rates N·β(x, θ) per
-   class, targets resolved through the index, merged by destination
-   (stable sort, so duplicate targets sum in class order).  [rate ti tr]
-   supplies β for transition class [ti] — either a direct [tr.rate]
-   call or a lane of a batched tape evaluation; the two are
-   bit-identical, so the assembled generator does not depend on which
-   path produced it. *)
-let assemble_row ?on_escape sp (pop : Population.t) ~nf ~rate s =
+   class, read from row [r] of a batched rates-plan evaluation, targets
+   resolved through the index, merged by destination (stable sort, so
+   duplicate targets sum in class order). *)
+let assemble_row ?on_escape sp (trs : Model.transition array) ~nf ~betas ~r s =
   let pairs = ref [] and count = ref 0 in
   Array.iteri
-    (fun ti (tr : Population.transition) ->
-      let beta = rate ti tr in
+    (fun ti (tr : Model.transition) ->
+      let beta = Mat.get betas r ti in
       if Float.is_nan beta || beta < 0. then
         invalid_arg
           ("Ctmc_of_population: invalid rate in transition " ^ tr.name);
@@ -258,7 +278,7 @@ let assemble_row ?on_escape sp (pop : Population.t) ~nf ~rate s =
                       probe thetas)"
                      tr.name))
       end)
-    pop.transitions;
+    trs;
   let row = Array.make !count (0, 0.) in
   (* !pairs is in reverse class order; fill backwards to restore it *)
   List.iteri (fun i p -> row.(!count - 1 - i) <- p) !pairs;
@@ -280,75 +300,56 @@ let assemble_row ?on_escape sp (pop : Population.t) ~nf ~rate s =
   done;
   if !uniq = m then row else Array.sub row 0 !uniq
 
-(* Shared assembly driver.  [escape], when present, receives
-   (state, absolute rate) for every supported transition whose target
-   is outside the retained set; leak writes are index-owned per state
-   so any pool partition accumulates them bit-identically. *)
-let assemble_rows ?pool ?escape sp (pop : Population.t) ~theta rows =
+(* Shared assembly driver: all transition rates for a block of states
+   in one [run_batch] dispatch per tape instruction, then per-row
+   bookkeeping from the precomputed β.  Each row depends only on its
+   own state and the batch kernel is bit-identical to a scalar
+   [Plan.run], so any block size — and any pool partition — yields the
+   same generator.  [escape], when present, receives (state, absolute
+   rate) for every supported transition whose target is outside the
+   retained set; leak writes are index-owned per state so any pool
+   partition accumulates them bit-identically. *)
+let assemble_rows ?pool ?escape sp model ~theta rows =
   let nf = float_of_int sp.pop_n in
   let ns = n_states sp in
   let escape_for s = Option.map (fun f -> f s) escape in
-  match Population.rates_plan pop with
-  | Some plan ->
-      (* batched assembly: all transition rates for a block of states
-         in one dispatch per tape instruction, then per-row bookkeeping
-         from the precomputed β.  Each row depends only on its own
-         state and the kernel is bit-identical to the scalar [tr.rate]
-         calls, so any block size — and any pool partition — yields
-         the same generator. *)
-      let ntr = Array.length pop.transitions in
-      let dim = pop.dim in
-      let td = Vec.dim theta in
-      let block = 8192 in
-      let n_blocks = (ns + block - 1) / block in
-      let fill_block bi =
-        let b0 = bi * block in
-        let bn = Stdlib.min block (ns - b0) in
-        let xs = Mat.zeros bn dim and ths = Mat.zeros bn (Stdlib.max 1 td) in
-        for r = 0 to bn - 1 do
-          let x = sp.dens.(b0 + r) in
-          for i = 0 to dim - 1 do
-            Mat.set xs r i x.(i)
-          done;
-          for i = 0 to td - 1 do
-            Mat.set ths r i theta.(i)
-          done
-        done;
-        let betas = Mat.zeros bn ntr in
-        Tape.Plan.run_batch plan ~xs ~ths ~out:betas;
-        for r = 0 to bn - 1 do
-          let s = b0 + r in
-          rows.(s) <-
-            assemble_row ?on_escape:(escape_for s) sp pop ~nf
-              ~rate:(fun ti _ -> Mat.get betas r ti)
-              s
-        done
-      in
-      (match pool with
-      | Some p when ns > 1024 ->
-          Pool.parallel_for ~stage:"ctmc-assemble" p n_blocks fill_block
-      | _ ->
-          for bi = 0 to n_blocks - 1 do
-            fill_block bi
-          done)
-  | None ->
-      let fill s =
-        rows.(s) <-
-          assemble_row ?on_escape:(escape_for s) sp pop ~nf
-            ~rate:(fun _ (tr : Population.transition) ->
-              tr.rate sp.dens.(s) theta)
-            s
-      in
-      (match pool with
-      | Some p when ns > 1024 ->
-          Pool.parallel_for ~stage:"ctmc-assemble" p ns fill
-      | _ ->
-          for s = 0 to ns - 1 do
-            fill s
-          done)
+  let plan = Model.rates_plan model in
+  let trs = Array.of_list (Model.transitions model) in
+  let ntr = Array.length trs in
+  let dim = Model.dim model in
+  let td = Vec.dim theta in
+  let block = 8192 in
+  let n_blocks = (ns + block - 1) / block in
+  let fill_block bi =
+    let b0 = bi * block in
+    let bn = Stdlib.min block (ns - b0) in
+    let xs = Mat.zeros bn dim and ths = Mat.zeros bn (Stdlib.max 1 td) in
+    for r = 0 to bn - 1 do
+      let x = sp.dens.(b0 + r) in
+      for i = 0 to dim - 1 do
+        Mat.set xs r i x.(i)
+      done;
+      for i = 0 to td - 1 do
+        Mat.set ths r i theta.(i)
+      done
+    done;
+    let betas = Mat.zeros bn ntr in
+    Tape.Plan.run_batch plan ~xs ~ths ~out:betas;
+    for r = 0 to bn - 1 do
+      let s = b0 + r in
+      rows.(s) <- assemble_row ?on_escape:(escape_for s) sp trs ~nf ~betas ~r s
+    done
+  in
+  match pool with
+  | Some p when ns > 1024 ->
+      Pool.parallel_for ~stage:"ctmc-assemble" p n_blocks fill_block
+  | _ ->
+      for bi = 0 to n_blocks - 1 do
+        fill_block bi
+      done
 
-let generator ?pool ?(obs = Obs.off) sp (pop : Population.t) ~theta =
-  if Vec.dim theta <> Array.length pop.theta_names then
+let generator ?pool ?(obs = Obs.off) sp model ~theta =
+  if Vec.dim theta <> Model.theta_dim model then
     invalid_arg "Ctmc_of_population: theta dimension mismatch";
   if sp.truncated then
     failwith
@@ -357,7 +358,7 @@ let generator ?pool ?(obs = Obs.off) sp (pop : Population.t) ~theta =
   let span = Obs.span_begin obs "ctmc.assemble" in
   let ns = n_states sp in
   let rows = Array.make ns [||] in
-  assemble_rows ?pool sp pop ~theta rows;
+  assemble_rows ?pool sp model ~theta rows;
   let g = Generator.of_rows rows in
   if Obs.enabled obs then begin
     Obs.count obs "ctmc.nnz" (Generator.nnz g);
@@ -368,9 +369,8 @@ let generator ?pool ?(obs = Obs.off) sp (pop : Population.t) ~theta =
   else Obs.span_end obs span;
   g
 
-let truncated_generator ?pool ?(obs = Obs.off) sp (pop : Population.t) ~theta
-    =
-  if Vec.dim theta <> Array.length pop.theta_names then
+let truncated_generator ?pool ?(obs = Obs.off) sp model ~theta =
+  if Vec.dim theta <> Model.theta_dim model then
     invalid_arg "Ctmc_of_population: theta dimension mismatch";
   let span = Obs.span_begin obs "ctmc.assemble" in
   let ns = n_states sp in
@@ -383,7 +383,7 @@ let truncated_generator ?pool ?(obs = Obs.off) sp (pop : Population.t) ~theta
       Some (fun s r -> leak.(s) <- leak.(s) +. r)
     else None
   in
-  assemble_rows ?pool ?escape sp pop ~theta rows;
+  assemble_rows ?pool ?escape sp model ~theta rows;
   let g = Generator.of_rows rows in
   if Obs.enabled obs then begin
     let boundary = ref 0 in
@@ -401,8 +401,8 @@ let truncated_generator ?pool ?(obs = Obs.off) sp (pop : Population.t) ~theta
   else Obs.span_end obs span;
   (g, leak)
 
-let imprecise ?theta sp (pop : Population.t) =
-  let theta_box = match theta with Some b -> b | None -> pop.theta in
+let imprecise ?theta sp model =
+  let theta_box = match theta with Some b -> b | None -> Model.theta model in
   let nf = float_of_int sp.pop_n in
   let ns = n_states sp in
   (* a truncated space gets one absorbing sink state (index n_states):
@@ -411,43 +411,55 @@ let imprecise ?theta sp (pop : Population.t) =
      bounds instead of failing *)
   let sink = ns in
   let n_total = if sp.truncated then ns + 1 else ns in
+  let plan = Model.rates_plan model in
+  let trs = Array.of_list (Model.transitions model) in
+  let ntr = Array.length trs in
+  let vertices = Array.of_list (Optim.Box.vertices theta_box) in
+  let nv = Array.length vertices in
+  let at_vertex = Array.map (fun _ -> Vec.zeros ntr) vertices in
+  let support = support model ~probes:sp.probes ~tol:sp.support_tol in
+  (* built back to front, so the list runs by state and, within a
+     state, in class order *)
   let transitions = ref [] in
   for s = ns - 1 downto 0 do
     let x = sp.dens.(s) in
+    let supported = support x in
+    (* the rates plan runs once per (state, vertex); the sweep reads
+       these floats at every step *)
     Array.iteri
-      (fun ti (tr : Population.transition) ->
-        let supported =
-          List.exists (fun th -> tr.rate x th > sp.support_tol) sp.probes
+      (fun v th -> Tape.Plan.run plan ~x ~th ~out:at_vertex.(v))
+      vertices;
+    for ti = ntr - 1 downto 0 do
+      if supported ti then begin
+        let name = trs.(ti).Model.name in
+        let c' =
+          Array.mapi (fun i k -> k + sp.changes.(ti).(i)) sp.counts.(s)
         in
-        if supported then begin
-          let c' =
-            Array.mapi (fun i k -> k + sp.changes.(ti).(i)) sp.counts.(s)
-          in
-          let rate th =
-            let beta = tr.rate x th in
-            if Float.is_nan beta then
-              invalid_arg
-                ("Ctmc_of_population: NaN rate in transition " ^ tr.name);
-            nf *. beta
-          in
+        let dst =
           match Hashtbl.find_opt sp.index c' with
-          | Some d when d <> s ->
-              transitions :=
-                { Imprecise_ctmc.src = s; dst = d; rate } :: !transitions
-          | Some _ -> ()
+          | Some d -> if d = s then None else Some d
+          | None when sp.truncated -> Some sink
           | None ->
-              if sp.truncated then
-                transitions :=
-                  { Imprecise_ctmc.src = s; dst = sink; rate }
-                  :: !transitions
-              else
-                failwith
-                  (Printf.sprintf
-                     "Ctmc_of_population: transition %s has positive rate \
-                      outside the enumerated space (missed support at the \
-                      probe thetas)"
-                     tr.name)
-        end)
-      pop.transitions
+              failwith
+                (Printf.sprintf
+                   "Ctmc_of_population: transition %s has positive rate \
+                    outside the enumerated space (missed support at the \
+                    probe thetas)"
+                   name)
+        in
+        Option.iter
+          (fun dst ->
+            let rates =
+              Array.init nv (fun v ->
+                  let beta = at_vertex.(v).(ti) in
+                  if Float.is_nan beta then
+                    invalid_arg
+                      ("Ctmc_of_population: NaN rate in transition " ^ name);
+                  nf *. beta)
+            in
+            transitions := { Imprecise_ctmc.src = s; dst; rates } :: !transitions)
+          dst
+      end
+    done
   done;
   Imprecise_ctmc.make ~n:n_total ~theta:theta_box !transitions

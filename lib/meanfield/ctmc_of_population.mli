@@ -1,9 +1,9 @@
 (** The exact finite-N CTMC of a population model.
 
-    A {!Population.t} at size N is a CTMC on the lattice of count
-    vectors X = N·x.  This module enumerates the reachable lattice from
-    the (rounded) initial counts and emits the sparse finite-N
-    generator from the model's compiled rate tapes — the ground truth
+    A {!Model.t} at size N is a CTMC on the lattice of count vectors
+    X = N·x.  This module enumerates the reachable lattice from the
+    (rounded) initial counts and emits the sparse finite-N generator
+    from the model's rates plan ({!Model.rates_plan}) — the ground truth
     the paper's mean-field and imprecise bounds approximate, computable
     well past the dense-matrix limit (an N = 1000 SIR instance has
     ≈ 5·10⁵ states and fits easily).
@@ -31,19 +31,20 @@ val state_space :
   ?max_states:int ->
   ?support_tol:float ->
   ?truncation:[ `Exact | `Adaptive ] ->
-  Population.t ->
+  Model.t ->
   n:int ->
   x0:Vec.t ->
   space
-(** [state_space pop ~n ~x0] enumerates (breadth-first, deterministic
+(** [state_space model ~n ~x0] enumerates (breadth-first, deterministic
     order, state 0 = the initial state) every count vector reachable
     from [n·x0] rounded to the lattice by largest remainder — each
     coordinate is floored and the leftover units (against the rounded
     total count) go to the largest fractional parts, so a conserved
     total such as S + I <= N survives the rounding — through
     transitions whose rate is positive at
-    some probe θ — the vertices and midpoint of the θ-box ([theta]
-    defaults to the population's own box).  Counts are kept inside the
+    some probe θ — the midpoint and then the vertices of the θ-box
+    ([theta] defaults to the model's own box), each probe evaluating
+    the rates plan once per state.  Counts are kept inside the
     [clip] box scaled by N (default: the unit density box, i.e. counts
     in [0, N]).
 
@@ -106,13 +107,13 @@ val generator :
   ?pool:Umf_runtime.Runtime.Pool.t ->
   ?obs:Umf_obs.Obs.t ->
   space ->
-  Population.t ->
+  Model.t ->
   theta:Vec.t ->
   Umf_ctmc.Generator.t
 (** The sparse finite-N generator at a fixed θ: state X fires class c
     at absolute rate N·β(X/N, θ) towards X + ℓ_c.  Rows are assembled
     in parallel over [pool] (index-owned writes — bit-identical to
-    sequential) through the model's tape-compiled rates.
+    sequential) from batched evaluations of the model's rates plan.
 
     @raise Failure if a positive rate leads outside the enumerated
     space (the probe set used by {!state_space} missed its support —
@@ -125,7 +126,7 @@ val truncated_generator :
   ?pool:Umf_runtime.Runtime.Pool.t ->
   ?obs:Umf_obs.Obs.t ->
   space ->
-  Population.t ->
+  Model.t ->
   theta:Vec.t ->
   Umf_ctmc.Generator.t * Vec.t
 (** Like {!generator} but accepts a {!truncated} space: the generator
@@ -139,15 +140,19 @@ val truncated_generator :
     space the leak vector is all zeros and a missing target still
     raises [Failure] (missed support is a bug, not truncation). *)
 
-val imprecise : ?theta:Optim.Box.t -> space -> Population.t -> Umf_ctmc.Imprecise_ctmc.t
-(** The finite-N chain as an imprecise CTMC over the θ-box, for
+val imprecise : ?theta:Optim.Box.t -> space -> Model.t -> Umf_ctmc.Imprecise_ctmc.t
+(** The finite-N chain as an imprecise CTMC over the θ-box ([theta]
+    defaults to the model's own box), for
     {!Umf_ctmc.Imprecise_ctmc.fixed_series}/[adaptive_series] backward
-    sweeps.  Each enumerated support edge carries the rate closure
-    θ ↦ N·β(X/N, θ).
+    sweeps.  Each enumerated support edge carries its rates
+    N·β(X/N, θ) at the vertices of the θ-box: the rates plan runs once
+    per (state, vertex), here, and never during a sweep.
 
     On a {!truncated} space the chain gains one extra absorbing sink
     state (index [n_states]) receiving every escaped edge; pin the
     sink's reward at the full-space minimum (lower sweep) or maximum
     (upper sweep) to keep the bounds certified outer bounds.
     @raise Failure as {!generator}, applied at the probe thetas
-    (non-truncated spaces only). *)
+    (non-truncated spaces only).
+    @raise Invalid_argument if a supported edge's rate is NaN at a
+    vertex, or negative there (see {!Umf_ctmc.Imprecise_ctmc.make}). *)

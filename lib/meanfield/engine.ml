@@ -46,7 +46,11 @@ let spec ?(scenario = Imprecise) ?theta ?(horizon = 10.) ?times
       if max_states < 1 then invalid_arg "Engine.spec: need max_states >= 1");
   (match scenario with
   | Uncertain g when g < 2 -> invalid_arg "Engine.spec: need grid >= 2"
-  | Uncertain _ | Imprecise -> ());
+  | Uncertain g ->
+      Optim.Box.check_grid ~who:"Engine.spec"
+        (Option.value theta ~default:(Model.theta model))
+        g
+  | Imprecise -> ());
   (match theta with
   | Some b when Optim.Box.dim b <> Model.theta_dim model ->
       invalid_arg "Engine.spec: theta box dimension mismatch"
@@ -80,14 +84,13 @@ let times_of s =
   match s.times with Some ts -> ts | None -> Vec.linspace 0. s.horizon 11
 
 let space s =
-  let pop = Model.population s.model in
   let truncation, max_states =
     match s.truncation with
     | Exact { max_states } -> (`Exact, max_states)
     | Adaptive { max_states } -> (`Adaptive, max_states)
   in
   Ctmc_of_population.state_space ~obs:s.obs ~theta:(theta_box s)
-    ~clip:(Model.clip s.model) ~max_states ~truncation pop ~n:s.n
+    ~clip:(Model.clip s.model) ~max_states ~truncation s.model ~n:s.n
     ~x0:(Model.x0 s.model)
 
 let theta_point ?theta s =
@@ -114,16 +117,16 @@ let resolve_reward s sp = function
 (* The forward operator of a spec: the exact generator on a fully
    enumerated space, the substochastic pair on a truncated one. *)
 let generator_of s sp ~theta =
-  let pop = Model.population s.model in
   if Ctmc_of_population.truncated sp then begin
     let g, leak =
-      Ctmc_of_population.truncated_generator ?pool:s.pool ~obs:s.obs sp pop
-        ~theta
+      Ctmc_of_population.truncated_generator ?pool:s.pool ~obs:s.obs sp
+        s.model ~theta
     in
     (g, Some leak)
   end
   else
-    (Ctmc_of_population.generator ?pool:s.pool ~obs:s.obs sp pop ~theta, None)
+    ( Ctmc_of_population.generator ?pool:s.pool ~obs:s.obs sp s.model ~theta,
+      None )
 
 let lost (c : Transient.certificate) = c.escaped +. c.tail
 
@@ -228,7 +231,6 @@ let imprecise_sweep s ~sense im ~h ~times =
 
 let envelope s ~reward =
   let sp = space s in
-  let pop = Model.population s.model in
   let box = theta_box s in
   let h, rlo, rhi = resolve_reward s sp reward in
   let times = times_of s in
@@ -246,7 +248,7 @@ let envelope s ~reward =
             "Engine.envelope: imprecise finite-N bounds need rates affine in \
              theta (vertex extremisation is only exact there); use the \
              Uncertain scenario";
-        let im = Ctmc_of_population.imprecise ~theta:box sp pop in
+        let im = Ctmc_of_population.imprecise ~theta:box sp s.model in
         let x0i = Ctmc_of_population.x0_index sp in
         (* a truncated space's imprecise chain carries one absorbing
            sink: pin its reward at the full-domain extremum so escaped
@@ -314,9 +316,8 @@ let stationary ?theta ?(tol = 1e-12) ?(max_iter = 1_000_000) s ~rewards
   | Exact _ -> ());
   let sp = space s in
   let theta = theta_point ?theta s in
-  let pop = Model.population s.model in
   let g =
-    Ctmc_of_population.generator ?pool:s.pool ~obs:s.obs sp pop ~theta
+    Ctmc_of_population.generator ?pool:s.pool ~obs:s.obs sp s.model ~theta
   in
   let pi =
     Stationary.power_iteration ?pool:s.pool ~obs:s.obs ~tol ~max_iter g

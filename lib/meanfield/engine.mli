@@ -82,8 +82,9 @@ val spec :
     epsilon 1e-12, [Exact {max_states = 2_000_000}].
     @raise Invalid_argument on [n < 1], [horizon <= 0], epsilon outside
     (0, 1), [sweep_eps <= 0], [max_states < 1], an
-    [Uncertain] grid < 2, a θ-box dimension mismatch, or non-increasing
-    [times]. *)
+    [Uncertain] grid < 2 or with more than 4096 points over the
+    effective Θ ({!Optim.Box.check_grid}), a θ-box dimension mismatch,
+    or non-increasing [times]. *)
 
 type transient = {
   n : int;

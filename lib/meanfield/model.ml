@@ -3,15 +3,18 @@ open Umf_numerics
 type transition = { name : string; change : Vec.t; rate : Expr.t }
 
 type t = {
-  population : Population.t;
+  name : string;
+  var_names : string array;
+  theta_names : string array;
+  theta : Optim.Box.t;
   transitions : transition list;
   x0 : Vec.t;
   clip : Optim.Box.t;
   policies : (string * Policy.t) list;
+  rates_plan : Tape.Plan.t;
   drift_exprs : Expr.t array;
   drift_plan : Tape.Plan.t;
   jac_plan : Tape.Plan.t;
-  theta_jac_plan : Tape.Plan.t;
   affine : bool;
   multilinear : bool;
 }
@@ -21,7 +24,7 @@ let make ~name ~var_names ~theta_names ~theta ~x0 ?clip ?(policies = [])
   let dim = Array.length var_names in
   let theta_dim = Array.length theta_names in
   List.iter
-    (fun tr ->
+    (fun (tr : transition) ->
       List.iter
         (fun i ->
           if i >= dim then
@@ -49,33 +52,21 @@ let make ~name ~var_names ~theta_names ~theta ~x0 ?clip ?(policies = [])
         b
     | None -> Optim.Box.make (Vec.zeros dim) (Vec.create dim 1.)
   in
-  (* each rate compiles to its own single-output tape so that firing
-     one transition never pays for the others; the combined multi-output
-     tape below serves the all-rates-at-once consumers (propensities,
-     CTMC generator assembly) and batch sweeps *)
-  let compiled =
-    List.map
-      (fun tr ->
-        {
-          Population.name = tr.name;
-          change = tr.change;
-          rate = Tape.Plan.run_scalar (Tape.Plan.make (Tape.compile [| tr.rate |]));
-        })
-      transitions
-  in
-  let rates_plan =
-    Tape.Plan.make
-      (Tape.compile
-         (Array.of_list (List.map (fun tr -> tr.rate) transitions)))
-  in
-  let population =
-    Population.make ~name ~var_names ~theta_names ~theta ~rates_plan compiled
-  in
+  if dim = 0 then invalid_arg "Model.make: no variables";
+  if Optim.Box.dim theta <> theta_dim then
+    invalid_arg "Model.make: theta box/name dimension mismatch";
+  List.iter
+    (fun (tr : transition) ->
+      if Vec.dim tr.change <> dim then
+        invalid_arg
+          (Printf.sprintf
+             "Model.make: transition %s has change of wrong dimension" tr.name))
+    transitions;
   (* f_i = sum over transitions of change_i * rate *)
   let drift_exprs =
     Array.init dim (fun i ->
         List.fold_left
-          (fun acc tr ->
+          (fun acc (tr : transition) ->
             if tr.change.(i) = 0. then acc
             else Expr.(acc +: (const tr.change.(i) *: tr.rate)))
           (Expr.const 0.) transitions
@@ -86,38 +77,43 @@ let make ~name ~var_names ~theta_names ~theta ~x0 ?clip ?(policies = [])
       (fun fi -> Array.init dim (fun j -> Expr.simplify (Expr.diff_var fi j)))
       drift_exprs
   in
-  let theta_jac_exprs =
-    Array.map
-      (fun fi ->
-        Array.init theta_dim (fun j -> Expr.simplify (Expr.diff_theta fi j)))
-      drift_exprs
-  in
-  let flatten rows = Array.concat (Array.to_list rows) in
   {
-    population;
+    name;
+    var_names;
+    theta_names;
+    theta;
     transitions;
     x0;
     clip;
     policies;
+    (* every transition rate in one multi-output tape, in transition
+       order: the one place a rate is evaluated (propensities, lattice
+       enumeration, generator assembly, the imprecise chain's vertex
+       rates) *)
+    rates_plan =
+      Tape.Plan.make
+        (Tape.compile
+           (Array.of_list
+              (List.map (fun (tr : transition) -> tr.rate) transitions)));
     drift_exprs;
     drift_plan = Tape.Plan.make (Tape.compile drift_exprs);
-    jac_plan = Tape.Plan.make (Tape.compile (flatten jac_exprs));
-    theta_jac_plan = Tape.Plan.make (Tape.compile (flatten theta_jac_exprs));
+    jac_plan =
+      Tape.Plan.make (Tape.compile (Array.concat (Array.to_list jac_exprs)));
     affine = Array.for_all Expr.is_affine_in_theta drift_exprs;
     multilinear = Array.for_all Expr.is_multilinear drift_exprs;
   }
 
-let name m = m.population.Population.name
+let name m = m.name
 
-let dim m = Population.dim m.population
+let dim m = Array.length m.var_names
 
-let theta_dim m = Population.theta_dim m.population
+let theta_dim m = Array.length m.theta_names
 
-let var_names m = m.population.Population.var_names
+let var_names m = m.var_names
 
-let theta_names m = m.population.Population.theta_names
+let theta_names m = m.theta_names
 
-let theta m = m.population.Population.theta
+let theta m = m.theta
 
 let x0 m = m.x0
 
@@ -127,7 +123,21 @@ let policies m = m.policies
 
 let transitions m = m.transitions
 
-let population m = m.population
+let rates_plan m = m.rates_plan
+
+let propensities m ~n x theta =
+  if n <= 0 then invalid_arg "Model.propensities: need n > 0";
+  let betas = Tape.Plan.run_alloc m.rates_plan ~x ~th:theta in
+  List.iteri
+    (fun k (tr : transition) ->
+      let beta = betas.(k) in
+      if beta < 0. || Float.is_nan beta then
+        invalid_arg
+          (Printf.sprintf "Model.propensities: transition %s has invalid rate"
+             tr.name);
+      betas.(k) <- float_of_int n *. beta)
+    m.transitions;
+  betas
 
 let drift_exprs m = m.drift_exprs
 
@@ -140,18 +150,6 @@ let jac_plan m = m.jac_plan
 let drift_into m ~x ~th ~out = Tape.Plan.run m.drift_plan ~x ~th ~out
 
 let drift m x th = Tape.Plan.run_alloc m.drift_plan ~x ~th
-
-let eval_matrix plan ~rows ~cols x th =
-  let out = Vec.zeros (rows * cols) in
-  Tape.Plan.run plan ~x ~th ~out;
-  Mat.init rows cols (fun i j -> out.((i * cols) + j))
-
-let jacobian m x th =
-  let d = dim m in
-  eval_matrix m.jac_plan ~rows:d ~cols:d x th
-
-let theta_jacobian m x th =
-  eval_matrix m.theta_jac_plan ~rows:(dim m) ~cols:(theta_dim m) x th
 
 let drift_interval m ~x ~th = Tape.Plan.run_interval m.drift_plan ~x ~th
 

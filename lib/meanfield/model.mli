@@ -1,17 +1,25 @@
 (** The canonical model representation: one symbolic definition,
     everything else derived.
 
-    A model is its name, variable/parameter names, the θ-box, a
-    default initial density, a state clip box (also the lint
-    certification domain), optional adapted policies, and the symbolic
-    transition classes — nothing else.  From the {!Umf_numerics.Expr}
-    rates, [make] derives every artifact the solvers consume:
+    A model is a population model in the sense of Sec. III of the
+    paper: its name, variable/parameter names, the θ-box, a default
+    initial density, a state clip box (also the lint certification
+    domain), optional adapted policies, and the symbolic transition
+    classes — nothing else.  Each class has a [change] vector ℓ on the
+    {e count} scale (firing moves the counts X ↦ X + ℓ, i.e. the
+    density x ↦ x + ℓ/N) and a density-scaled [rate] β(x, θ): at size N
+    it fires at absolute rate N·β(x, θ).  The same rates define the
+    size-N chain and the limit drift f(x, θ) = Σ β ℓ (Defs. 3–4).
 
-    - the ordinary {!Population.t} (rates compiled to allocation-free
-      {!Umf_numerics.Tape} closures) for simulation and sweeps;
-    - the drift f(x, θ) = Σ β ℓ and its exact symbolic Jacobians
-      ∂f/∂x and ∂f/∂θ, compiled to tapes (Pontryagin costates without
-      finite differences);
+    From the {!Umf_numerics.Expr} rates, [make] derives every artifact
+    the solvers consume:
+
+    - the rates plan: every rate compiled into one multi-output tape,
+      the only place a transition rate is evaluated (propensities for
+      simulation, lattice enumeration and generator assembly, the
+      imprecise chain's vertex rates);
+    - the drift and its exact symbolic Jacobian ∂f/∂x, compiled to
+      tapes (Pontryagin costates without finite differences);
     - certified interval enclosures of the drift over state × θ boxes
       (the differential hull's face bounds);
     - the structural flags (affine in θ, multilinear) that select the
@@ -26,8 +34,8 @@ open Umf_numerics
 
 type transition = {
   name : string;
-  change : Vec.t;
-  rate : Expr.t;  (** density-scaled rate, must be >= 0 on the domain *)
+  change : Vec.t;  (** count-scale change vector ℓ *)
+  rate : Expr.t;  (** density-scaled rate β, must be >= 0 on the domain *)
 }
 
 type t
@@ -46,7 +54,8 @@ val make :
     hull integration and is the default lint certification domain.
     @raise Invalid_argument if a rate references a variable or
     parameter index out of range, a change vector, [x0] or [clip] has
-    the wrong dimension. *)
+    the wrong dimension, there are no variables, or the θ-box and
+    [theta_names] differ in dimension. *)
 
 (** {1 The declaration} *)
 
@@ -75,9 +84,16 @@ val transitions : t -> transition list
 
 (** {1 Derived artifacts} *)
 
-val population : t -> Population.t
-(** The ordinary population model; rates are compiled tapes running at
-    hand-written-closure speed. *)
+val rates_plan : t -> Tape.Plan.t
+(** Every transition rate β in one compiled plan: output [k] is the
+    rate of the k-th transition of {!transitions}.  Batch consumers
+    (lattice generator assembly) run it through [Tape.Plan.run_batch]. *)
+
+val propensities : t -> n:int -> Vec.t -> Vec.t -> Vec.t
+(** [propensities m ~n x theta]: absolute firing rates N·β(x, θ) of
+    each class at population size [n] and density state [x], in
+    transition order.
+    @raise Invalid_argument if [n <= 0] or a rate is negative or NaN. *)
 
 val drift_exprs : t -> Expr.t array
 (** The drift coordinates f_i(x, θ) as simplified expressions. *)
@@ -98,15 +114,9 @@ val drift : t -> Vec.t -> Vec.t -> Vec.t
 val drift_into : t -> x:Vec.t -> th:Vec.t -> out:Vec.t -> unit
 (** Allocation-free drift evaluation (domain-local workspace). *)
 
-val jacobian : t -> Vec.t -> Vec.t -> Mat.t
-(** Exact ∂f/∂x from symbolic differentiation, compiled. *)
-
 val jac_plan : t -> Tape.Plan.t
-(** The plan {!jacobian} evaluates: d² outputs, row-major, output
-    [i·d + j] = ∂f_i/∂x_j. *)
-
-val theta_jacobian : t -> Vec.t -> Vec.t -> Mat.t
-(** Exact ∂f/∂θ. *)
+(** Exact ∂f/∂x from symbolic differentiation, compiled: d² outputs,
+    row-major, output [i·d + j] = ∂f_i/∂x_j. *)
 
 val drift_interval :
   t -> x:Interval.t array -> th:Interval.t array -> Interval.t array

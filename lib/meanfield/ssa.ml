@@ -12,12 +12,14 @@ let run ?(obs = Obs.off) model ~n ~x0 ~(policy : Policy.t) ~tmax ~rng ~on_hold
     =
   if n <= 0 then invalid_arg "Ssa: need n > 0";
   if tmax < 0. then invalid_arg "Ssa: negative horizon";
-  if Vec.dim x0 <> Population.dim model then
+  if Vec.dim x0 <> Model.dim model then
     invalid_arg "Ssa: x0 dimension mismatch";
   let nf = float_of_int n in
   let counts = Vec.map (fun v -> Float.round (v *. nf)) x0 in
   let inst = policy.Policy.instantiate () in
-  let ntrans = Array.length model.Population.transitions in
+  let trs = Array.of_list (Model.transitions model) in
+  let ntrans = Array.length trs in
+  let box = Model.theta model in
   let t = ref 0. in
   let events = ref 0 in
   let density () = Vec.scale (1. /. nf) counts in
@@ -25,8 +27,8 @@ let run ?(obs = Obs.off) model ~n ~x0 ~(policy : Policy.t) ~tmax ~rng ~on_hold
   while not !finished do
     if !events land 4095 = 0 then Obs.checkpoint obs;
     let x = density () in
-    let theta = Optim.Box.clamp model.Population.theta (inst.Policy.theta !t x) in
-    let props = Population.propensities model ~n x theta in
+    let theta = Optim.Box.clamp box (inst.Policy.theta !t x) in
+    let props = Model.propensities model ~n x theta in
     let jump_rate = inst.Policy.jump_rate !t x in
     if jump_rate < 0. then invalid_arg "Ssa: negative policy jump rate";
     let total = Vec.sum props +. jump_rate in
@@ -48,16 +50,16 @@ let run ?(obs = Obs.off) model ~n ~x0 ~(policy : Policy.t) ~tmax ~rng ~on_hold
         let weights = Array.append props [| jump_rate |] in
         let k = Rng.categorical rng weights in
         if k < ntrans then begin
-          let tr = model.Population.transitions.(k) in
-          Vec.axpy_in_place 1. tr.Population.change counts;
+          let tr = trs.(k) in
+          Vec.axpy_in_place 1. tr.Model.change counts;
           Array.iteri
             (fun i c ->
               if c < -1e-9 then
                 failwith
                   (Printf.sprintf
                      "Ssa: transition %s drove count of %s negative"
-                     tr.Population.name
-                     model.Population.var_names.(i)))
+                     tr.Model.name
+                     (Model.var_names model).(i)))
             counts
         end
         else inst.Policy.do_jump rng t' (density ());

@@ -1,9 +1,10 @@
 (** Exact stochastic simulation of population models at finite size N.
 
-    The Gillespie direct method on the counting variables X = N·x, with
-    an adapted θ-policy interleaved: the policy chooses θ at every
-    transition epoch and may fire its own exponential jump clock
-    (redraw policies).  All outputs are on the density scale x = X/N,
+    The Gillespie direct method on the counting variables X = N·x,
+    firing each class at its {!Model.propensities} (the model's rates
+    plan), with an adapted θ-policy interleaved: the policy chooses θ
+    at every transition epoch and may fire its own exponential jump
+    clock (redraw policies).  All outputs are on the density scale x = X/N,
     so trajectories converge to the mean-field limit as N grows
     (Theorem 1). *)
 
@@ -12,7 +13,7 @@ module Pool = Umf_runtime.Runtime.Pool
 
 val final :
   ?obs:Umf_obs.Obs.t ->
-  Population.t ->
+  Model.t ->
   n:int ->
   x0:Vec.t ->
   policy:Policy.t ->
@@ -28,7 +29,7 @@ val final :
     boundary). *)
 
 val trajectory :
-  Population.t ->
+  Model.t ->
   n:int ->
   x0:Vec.t ->
   policy:Policy.t ->
@@ -40,7 +41,7 @@ val trajectory :
 
 val sampled :
   ?obs:Umf_obs.Obs.t ->
-  Population.t ->
+  Model.t ->
   n:int ->
   x0:Vec.t ->
   policy:Policy.t ->
@@ -53,7 +54,7 @@ val sampled :
     its clock is read as in {!final}. *)
 
 val time_average :
-  Population.t ->
+  Model.t ->
   n:int ->
   x0:Vec.t ->
   policy:Policy.t ->
@@ -67,7 +68,7 @@ val time_average :
 val replicate :
   ?pool:Pool.t ->
   ?obs:Umf_obs.Obs.t ->
-  Population.t ->
+  Model.t ->
   n:int ->
   x0:Vec.t ->
   policy:Policy.t ->
@@ -85,7 +86,7 @@ val replicate :
     trace stream) and the total ["ssa.events"]. *)
 
 val count_events :
-  Population.t ->
+  Model.t ->
   n:int ->
   x0:Vec.t ->
   policy:Policy.t ->

@@ -118,8 +118,6 @@ let make p =
     ~x0:(x0 p) ~clip:(state_box p)
     (List.init k departure @ List.init k arrival @ rebalances)
 
-let model p = Model.population (make p)
-
 let di p = Umf_diffinc.Di.of_model (make p)
 
 let total_bikes x = Vec.sum x

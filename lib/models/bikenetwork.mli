@@ -49,8 +49,6 @@ val make : params -> Model.t
     become [Ite] thresholds; conserves Σ x_i + z (every change vector
     sums to 0).  Clipped to {!state_box}. *)
 
-val model : params -> Population.t
-
 val di : params -> Umf_diffinc.Di.t
 
 val x0 : params -> Vec.t

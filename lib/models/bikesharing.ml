@@ -23,24 +23,24 @@ let make p =
       tr "return" [| 1. |] (Ite (b -: const (1. -. 1e-12), theta 1, const 0.));
     ]
 
-let model p = Model.population (make p)
-
 let di p = Umf_diffinc.Di.of_model (make p)
 
 let ictmc p ~capacity =
   if capacity <= 0 then invalid_arg "Bikesharing.ictmc: need capacity > 0";
-  let trans = ref [] in
-  for k = 0 to capacity do
-    if k > 0 then
-      trans :=
-        { Umf_ctmc.Imprecise_ctmc.src = k; dst = k - 1; rate = (fun th -> th.(0)) }
-        :: !trans;
-    if k < capacity then
-      trans :=
-        { Umf_ctmc.Imprecise_ctmc.src = k; dst = k + 1; rate = (fun th -> th.(1)) }
-        :: !trans
-  done;
-  Umf_ctmc.Imprecise_ctmc.make ~n:(capacity + 1) ~theta:(theta_box p) !trans
+  let box = theta_box p in
+  (* departures run at θ_a, returns at θ_r: their rates at the box's
+     vertices *)
+  let at j =
+    Array.of_list (List.map (fun th -> th.(j)) (Optim.Box.vertices box))
+  in
+  let departure = at 0 and return_ = at 1 in
+  let edge src dst rates = { Umf_ctmc.Imprecise_ctmc.src; dst; rates } in
+  Umf_ctmc.Imprecise_ctmc.make ~n:(capacity + 1) ~theta:box
+    (List.concat_map
+       (fun k ->
+         (if k > 0 then [ edge k (k - 1) departure ] else [])
+         @ if k < capacity then [ edge k (k + 1) return_ ] else [])
+       (List.init (capacity + 1) Fun.id))
 
 let occupancy_reward ~capacity =
   Array.init (capacity + 1) (fun k -> float_of_int k /. float_of_int capacity)

@@ -25,8 +25,6 @@ val make : params -> Model.t
     emptiness/fullness indicator guards become [Ite] thresholds, so
     the drift is affine in θ but only piecewise-smooth. *)
 
-val model : params -> Population.t
-
 val di : params -> Umf_diffinc.Di.t
 
 val theta_box : params -> Optim.Box.t
@@ -35,7 +33,9 @@ val x0 : Vec.t
 (** A half-full station. *)
 
 val ictmc : params -> capacity:int -> Umf_ctmc.Imprecise_ctmc.t
-(** Finite imprecise CTMC on \{0, …, capacity\} bikes. *)
+(** Finite imprecise CTMC on \{0, …, capacity\} bikes, unscaled as in
+    Sec. II: departures at rate θ_a, returns at rate θ_r, each stored
+    at the vertices of {!theta_box}. *)
 
 val occupancy_reward : capacity:int -> Vec.t
 (** h(k) = k / capacity: the normalised occupancy, as a reward vector

@@ -35,6 +35,4 @@ let make p =
       tr "decay" [| 0.; 0.; -1. |] (const p.delta *: w);
     ]
 
-let model p = Model.population (make p)
-
 let di p = Umf_diffinc.Di.of_model (make p)

@@ -33,8 +33,6 @@ val make : params -> Model.t
 (** Clipped to {!state_clip} (the declared invariant box, which also
     serves as the lint certification domain). *)
 
-val model : params -> Population.t
-
 val di : params -> Umf_diffinc.Di.t
 (** With the exact symbolic Jacobian. *)
 

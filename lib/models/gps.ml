@@ -131,10 +131,6 @@ let make_map p =
       tr "service-2" (step 2 p.gamma2 ~dq:(-1.) ~dd:0.) (serve 2);
     ]
 
-let poisson_model p = Model.population (make_poisson p)
-
-let map_model p = Model.population (make_map p)
-
 let poisson_di p = Umf_diffinc.Di.of_model (make_poisson p)
 
 let map_di p = Umf_diffinc.Di.of_model (make_map p)

@@ -58,10 +58,6 @@ val make_poisson : params -> Model.t
 val make_map : params -> Model.t
 (** MAP-arrival model.  θ = (λ1, λ2). *)
 
-val poisson_model : params -> Population.t
-
-val map_model : params -> Population.t
-
 val poisson_di : params -> Umf_diffinc.Di.t
 
 val map_di : params -> Umf_diffinc.Di.t

@@ -55,8 +55,6 @@ let make p =
     ~theta:(Optim.Box.of_intervals [ p.lambda ])
     ~x0:(x0_empty p) transitions
 
-let model p = Model.population (make p)
-
 let di p = Umf_diffinc.Di.of_model (make p)
 
 let fixed_point p ~lambda =

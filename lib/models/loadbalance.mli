@@ -34,8 +34,6 @@ val make : params -> Model.t
     clamps and tail differences written as [Min]/[Max] kinks and the
     power-of-d choice as [Pow _ d] (not multilinear for d ≥ 2). *)
 
-val model : params -> Population.t
-
 val di : params -> Umf_diffinc.Di.t
 
 val x0_empty : params -> Vec.t

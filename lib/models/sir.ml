@@ -57,8 +57,4 @@ let make3 p =
       tr "immunity-loss" [| 1.; 0.; -1. |] (const p.c *: r);
     ]
 
-let model p = Model.population (make p)
-
-let model3 p = Model.population (make3 p)
-
 let di p = Umf_diffinc.Di.of_model (make p)

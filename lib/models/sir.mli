@@ -43,11 +43,6 @@ val make3 : params -> Model.t
     constant) — the model the static analyzer certifies completely
     clean. *)
 
-val model : params -> Population.t
-(** [Model.population (make p)]. *)
-
-val model3 : params -> Population.t
-
 val di : params -> Umf_diffinc.Di.t
 (** The mean-field differential inclusion with the exact symbolic
     Jacobian. *)

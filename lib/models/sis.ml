@@ -21,8 +21,6 @@ let make p =
       tr "patch" [| -1. |] (const p.delta *: i);
     ]
 
-let model p = Model.population (make p)
-
 let di p = Umf_diffinc.Di.of_model (make p)
 
 (* a(1-x) + b x(1-x) - d x = 0  <=>  b x^2 + (d - b + a) x - a = 0 *)

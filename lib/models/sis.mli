@@ -24,8 +24,6 @@ val make : params -> Model.t
     θ; the clean fraction [max(0, 1 − I)] is a kink and I·(1 − I) is
     quadratic, so the drift is neither smooth nor multilinear. *)
 
-val model : params -> Population.t
-
 val di : params -> Umf_diffinc.Di.t
 
 val theta_box : params -> Optim.Box.t

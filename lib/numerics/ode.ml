@@ -147,28 +147,6 @@ let integrate ?(method_ = `Rk4) ?(check = false) ?(obs = Obs.off) f ~t0 ~y0 ~t1
     (Array.of_list (List.rev !times))
     (Array.of_list (List.rev !states))
 
-let integrate_to ?(method_ = `Rk4) ?(check = false) ?(obs = Obs.off) f ~t0 ~y0
-    ~t1 ~dt =
-  check_span t0 t1 dt;
-  let sp = Obs.span_begin obs "ode.integrate_to" in
-  let step = step_fn method_ in
-  let step_no = ref 0 in
-  let f = checked_rhs ~enabled:check ~step:step_no f in
-  check_state ~enabled:check ~step:step_no t0 y0;
-  let t = ref t0 and y = ref y0 in
-  while !t < t1 -. 1e-12 do
-    incr step_no;
-    let h = Float.min dt (t1 -. !t) in
-    y := step f !t !y h;
-    t := !t +. h;
-    check_state ~enabled:check ~step:step_no !t !y
-  done;
-  if Obs.enabled obs then begin
-    Obs.count obs "ode.steps" !step_no;
-    Obs.span_end ~metrics:[ ("steps", float_of_int !step_no) ] obs sp
-  end;
-  !y
-
 (* Dormand-Prince 5(4) coefficients *)
 let dp_c = [| 0.; 0.2; 0.3; 0.8; 8. /. 9.; 1.; 1. |]
 
@@ -298,19 +276,6 @@ let integrate_adaptive ?err_acc ?(rtol = 1e-6) ?(atol = 1e-9) ?dt0 ?dt_max
   Traj.of_arrays
     (Array.of_list (List.rev !times))
     (Array.of_list (List.rev !states))
-
-let fixed_point ?(tol = 1e-9) ?(dt = 1e-2) ?(max_time = 1e4) f y0 =
-  let t = ref 0. and y = ref y0 in
-  let converged = ref false in
-  while (not !converged) && !t < max_time do
-    (* integrate in bursts, checking the drift between bursts *)
-    let burst = Float.min 1.0 (max_time -. !t) in
-    y := integrate_to f ~t0:!t ~y0:!y ~t1:(!t +. burst) ~dt;
-    t := !t +. burst;
-    if Vec.norm_inf (f !t !y) < tol then converged := true
-  done;
-  if not !converged then failwith "Ode.fixed_point: no equilibrium reached";
-  !y
 
 let integrate_adaptive_cert ?rtol ?atol ?dt0 ?dt_max ?max_steps ?check ?obs f
     ~t0 ~y0 ~t1 =

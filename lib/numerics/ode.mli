@@ -62,19 +62,6 @@ val integrate :
     an ["ode.integrate"] span and the ["ode.steps"] counter; the
     disabled default adds no allocation to the stepping loop. *)
 
-val integrate_to :
-  ?method_:[ `Euler | `Rk4 ] ->
-  ?check:bool ->
-  ?obs:Umf_obs.Obs.t ->
-  rhs ->
-  t0:float ->
-  y0:Vec.t ->
-  t1:float ->
-  dt:float ->
-  Vec.t
-(** Like {!integrate} but returns only the final state and allocates no
-    trajectory. *)
-
 val integrate_adaptive :
   ?err_acc:float ref ->
   ?rtol:float ->
@@ -118,15 +105,3 @@ val integrate_adaptive_cert :
     embedded local error estimates of the accepted steps in absolute
     units.  An {e estimate-level} ledger entry — what the controller
     believed it committed, not an a-priori bound. *)
-
-val fixed_point :
-  ?tol:float ->
-  ?dt:float ->
-  ?max_time:float ->
-  rhs ->
-  Vec.t ->
-  Vec.t
-(** Integrate an autonomous system until the drift norm falls below
-    [tol] (default 1e-9); returns the state reached.
-    @raise Failure if no equilibrium is reached before [max_time]
-    (default 1e4) — e.g. for systems with limit cycles. *)

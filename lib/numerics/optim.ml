@@ -70,6 +70,23 @@ module Box = struct
     in
     build 0 []
 
+  let max_grid_points = 4096
+
+  let check_grid ~who b k =
+    (* count what [sample_grid b k] would build, without building it: a
+       degenerate axis (or k = 1) holds one point *)
+    let points = ref 1. in
+    Array.iteri
+      (fun i lo ->
+        if lo <> b.hi.(i) && k > 1 then points := !points *. float_of_int k)
+      b.lo;
+    if !points > float_of_int max_grid_points then
+      invalid_arg
+        (Printf.sprintf
+           "%s: an uncertain grid of %d per axis has %g points, over the \
+            limit of %d"
+           who k !points max_grid_points)
+
   let sample_uniform rng b =
     Array.init (dim b) (fun i -> Rng.float_range rng b.lo.(i) b.hi.(i))
 

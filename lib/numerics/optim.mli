@@ -29,7 +29,16 @@ module Box : sig
   (** All [2^n] corner points (degenerate coordinates collapse). *)
 
   val sample_grid : t -> int -> Vec.t list
-  (** Full factorial grid with [k] points per dimension. *)
+  (** Full factorial grid with [k] points per dimension (one on a
+      degenerate axis, or when [k = 1]).
+      @raise Invalid_argument if [k < 1]. *)
+
+  val check_grid : who:string -> t -> int -> unit
+  (** The one cap on θ grids: counts the points [sample_grid b k] would
+      build, without building them, and refuses more than 4096 — a grid
+      is built whole before any deadline can stop it.
+      @raise Invalid_argument ["WHO: an uncertain grid of K per axis has
+      P points, over the limit of 4096"]. *)
 
   val sample_uniform : Rng.t -> t -> Vec.t
 

@@ -419,133 +419,13 @@ let make_batch_ws t chunk =
   done;
   bws
 
-(* one chunk of [m <= chunk] rows starting at row [r0]; all indices
-   into [bws] are (slot * chunk + lane) with slots produced by
-   [compile] and lanes < m <= chunk, and the xd/td/od accesses are
-   guarded by the shape checks in [Plan.run_batch] *)
-let run_batch_chunk t (bws : float array) ~chunk ~m ~r0 ~(xd : float array) ~xc
-    ~(td : float array) ~tc ~(od : float array) ~oc =
-  for i = 0 to t.n_vars - 1 do
-    let base = (t.var_base + i) * chunk in
-    for l = 0 to m - 1 do
-      Array.unsafe_set bws (base + l)
-        (Array.unsafe_get xd (((r0 + l) * xc) + i))
-    done
-  done;
-  for j = 0 to t.n_thetas - 1 do
-    let base = (t.theta_base + j) * chunk in
-    for l = 0 to m - 1 do
-      Array.unsafe_set bws (base + l)
-        (Array.unsafe_get td (((r0 + l) * tc) + j))
-    done
-  done;
-  let code = t.code in
-  for k = 0 to t.n_instrs - 1 do
-    let i = 5 * k in
-    let dst = Array.unsafe_get code (i + 1) * chunk
-    and a = Array.unsafe_get code (i + 2) * chunk
-    and b = Array.unsafe_get code (i + 3) in
-    match Array.unsafe_get code i with
-    | 0 (* add *) ->
-        let b = b * chunk in
-        for l = 0 to m - 1 do
-          Array.unsafe_set bws (dst + l)
-            (Array.unsafe_get bws (a + l) +. Array.unsafe_get bws (b + l))
-        done
-    | 1 (* sub *) ->
-        let b = b * chunk in
-        for l = 0 to m - 1 do
-          Array.unsafe_set bws (dst + l)
-            (Array.unsafe_get bws (a + l) -. Array.unsafe_get bws (b + l))
-        done
-    | 2 (* mul *) ->
-        let b = b * chunk in
-        for l = 0 to m - 1 do
-          Array.unsafe_set bws (dst + l)
-            (Array.unsafe_get bws (a + l) *. Array.unsafe_get bws (b + l))
-        done
-    | 3 (* div *) ->
-        let b = b * chunk in
-        for l = 0 to m - 1 do
-          Array.unsafe_set bws (dst + l)
-            (Array.unsafe_get bws (a + l) /. Array.unsafe_get bws (b + l))
-        done
-    | 4 (* neg *) ->
-        for l = 0 to m - 1 do
-          Array.unsafe_set bws (dst + l) (-.Array.unsafe_get bws (a + l))
-        done
-    | 5 (* pow: b is the literal exponent; same left fold as [run] *) ->
-        for l = 0 to m - 1 do
-          let base = Array.unsafe_get bws (a + l) in
-          let acc = ref 1. in
-          for _ = 1 to b do
-            acc := !acc *. base
-          done;
-          Array.unsafe_set bws (dst + l) !acc
-        done
-    | 6 (* min *) ->
-        let b = b * chunk in
-        for l = 0 to m - 1 do
-          Array.unsafe_set bws (dst + l)
-            (Float.min (Array.unsafe_get bws (a + l))
-               (Array.unsafe_get bws (b + l)))
-        done
-    | 7 (* max *) ->
-        let b = b * chunk in
-        for l = 0 to m - 1 do
-          Array.unsafe_set bws (dst + l)
-            (Float.max (Array.unsafe_get bws (a + l))
-               (Array.unsafe_get bws (b + l)))
-        done
-    | 8 (* ite *) ->
-        let b = b * chunk
-        and c = Array.unsafe_get code (i + 4) * chunk in
-        for l = 0 to m - 1 do
-          Array.unsafe_set bws (dst + l)
-            (if Array.unsafe_get bws (a + l) <= 0. then
-               Array.unsafe_get bws (b + l)
-             else Array.unsafe_get bws (c + l))
-        done
-    | 9 (* muladd *) ->
-        let b = b * chunk
-        and c = Array.unsafe_get code (i + 4) * chunk in
-        for l = 0 to m - 1 do
-          Array.unsafe_set bws (dst + l)
-            ((Array.unsafe_get bws (a + l) *. Array.unsafe_get bws (b + l))
-            +. Array.unsafe_get bws (c + l))
-        done
-    | 10 (* submul *) ->
-        let b = b * chunk
-        and c = Array.unsafe_get code (i + 4) * chunk in
-        for l = 0 to m - 1 do
-          Array.unsafe_set bws (dst + l)
-            (Array.unsafe_get bws (a + l)
-            -. Array.unsafe_get bws (b + l) *. Array.unsafe_get bws (c + l))
-        done
-    | _ (* mulsub *) ->
-        let b = b * chunk
-        and c = Array.unsafe_get code (i + 4) * chunk in
-        for l = 0 to m - 1 do
-          Array.unsafe_set bws (dst + l)
-            ((Array.unsafe_get bws (a + l) *. Array.unsafe_get bws (b + l))
-            -. Array.unsafe_get bws (c + l))
-        done
-  done;
-  let outs = t.outs in
-  for o = 0 to Array.length outs - 1 do
-    let src = Array.unsafe_get outs o * chunk in
-    for l = 0 to m - 1 do
-      Array.unsafe_set od
-        (((r0 + l) * oc) + o)
-        (Array.unsafe_get bws (src + l))
-    done
-  done
-
-(* C twin of [run_batch_chunk] (tape_batch_stubs.c): same SoA layout,
-   same op semantics bit for bit, each instruction's lane loop compiled
-   (and auto-vectorised) instead of interpreted.  [desc] packs the
-   tape-shape integers the kernel needs, [geom] the per-chunk ones.
-   The stub allocates nothing and never re-enters the runtime. *)
+(* The chunk kernel (tape_batch_stubs.c): over one chunk of [m <= chunk]
+   rows starting at row [r0], gather the inputs into the SoA workspace,
+   run each instruction's lane loop compiled (and auto-vectorised) with
+   the scalar [run]'s op semantics bit for bit, and scatter the outputs.
+   [desc] packs the tape-shape integers the kernel needs, [geom] the
+   per-chunk ones.  The stub allocates nothing and never re-enters the
+   runtime. *)
 external batch_chunk_c :
   int array ->
   int array ->
@@ -557,19 +437,7 @@ external batch_chunk_c :
   unit = "umf_tape_batch_chunk_byte" "umf_tape_batch_chunk"
 [@@noalloc]
 
-(* escape hatch for A/B-testing the kernels: UMF_BATCH_KERNEL=ocaml
-   routes [Plan.run_batch] through the reference OCaml chunk kernel
-   (the @batch-smoke gate runs both ways) *)
-let use_c_kernel =
-  lazy (match Sys.getenv_opt "UMF_BATCH_KERNEL" with
-        | Some "ocaml" -> false
-        | _ -> true)
-
 module Plan = struct
-  (* keep the tape-level interpreters reachable under their own names
-     once [run] is shadowed by the plan-level runner below *)
-  let tape_run = run
-
   type runner = int -> (int -> unit) -> unit
 
   type nonrec t = {
@@ -615,18 +483,6 @@ module Plan = struct
     run p ~x ~th ~out;
     out
 
-  let run_scalar p =
-    if Array.length p.tape.outs <> 1 then
-      invalid_arg "Tape.Plan.run_scalar: tape has more than one output";
-    let t = p.tape in
-    let out_slot = t.outs.(0) in
-    let key = p.ws_key in
-    fun x th ->
-      let ws = Domain.DLS.get key in
-      check t ~ws_len:(Array.length ws) ~x ~th;
-      tape_run t ws x th;
-      ws.(out_slot)
-
   let run_interval p ~x ~th =
     eval_interval_into p.tape ~ws:(Domain.DLS.get p.iws_key) ~x ~th
 
@@ -667,21 +523,12 @@ module Plan = struct
     let xd = Mat.data xs and td = Mat.data ths and od = Mat.data out in
     let xc = Mat.cols xs and tc = Mat.cols ths and oc = Mat.cols out in
     let n_chunks = (n + chunk - 1) / chunk in
-    let bws_key = p.bws_key in
-    if Lazy.force use_c_kernel then begin
-      let code = t.code and desc = p.desc in
-      par n_chunks (fun ci ->
-          let bws = Domain.DLS.get bws_key in
-          let r0 = ci * chunk in
-          let m = Stdlib.min chunk (n - r0) in
-          batch_chunk_c code desc bws xd td od [| chunk; m; r0; xc; tc; oc |])
-    end
-    else
-      par n_chunks (fun ci ->
-          let bws = Domain.DLS.get bws_key in
-          let r0 = ci * chunk in
-          let m = Stdlib.min chunk (n - r0) in
-          run_batch_chunk t bws ~chunk ~m ~r0 ~xd ~xc ~td ~tc ~od ~oc)
+    let bws_key = p.bws_key and code = t.code and desc = p.desc in
+    par n_chunks (fun ci ->
+        let bws = Domain.DLS.get bws_key in
+        let r0 = ci * chunk in
+        let m = Stdlib.min chunk (n - r0) in
+        batch_chunk_c code desc bws xd td od [| chunk; m; r0; xc; tc; oc |])
 end
 
 (* static-analysis view: decode the packed int-code back into a typed

@@ -78,11 +78,6 @@ module Plan : sig
   val run_alloc : t -> x:Vec.t -> th:Vec.t -> Vec.t
   (** {!run} into a fresh result vector. *)
 
-  val run_scalar : t -> Vec.t -> Vec.t -> float
-  (** A closure returning the single output directly — the compiled
-      form of one transition rate.
-      @raise Invalid_argument if the tape has more than one output. *)
-
   val run_interval :
     t -> x:Interval.t array -> th:Interval.t array -> Interval.t array
   (** Interval mode: conservative enclosure of every output over boxes

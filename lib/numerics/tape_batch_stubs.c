@@ -1,5 +1,5 @@
-/* Structure-of-arrays batch kernel for the tape IR — the C twin of
-   [Tape.run_batch_chunk].
+/* Structure-of-arrays batch kernel for the tape IR — the chunk kernel
+   behind [Tape.Plan.run_batch].
 
    The contract is BIT-IDENTITY with the scalar OCaml interpreter
    [Tape.run]: every lane must perform exactly the scalar op sequence
@@ -15,7 +15,7 @@
    - pow is the same left fold of multiplications as the interpreter,
      not libm pow().
 
-   Layout (mirrors the OCaml kernel): the batch workspace [bws] holds
+   Layout: the batch workspace [bws] holds
    [chunk] lanes per slot, slot-major — lane l of slot s at
    s*chunk + l.  Inputs/outputs are row-major matrices; lanes
    r0..r0+m-1 of this chunk map to rows r0..r0+m-1.  All indices are

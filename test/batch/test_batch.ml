@@ -9,7 +9,6 @@
 open Umf_numerics
 module Pool = Umf_runtime.Runtime.Pool
 module Model = Umf_meanfield.Model
-module Population = Umf_meanfield.Population
 
 let n_rows = 257 (* forces full chunks and a ragged tail at chunk 64 *)
 
@@ -59,11 +58,7 @@ let check_bitwise name plan ~par ~xs ~ths reference =
     done
   done
 
-let plans_of m =
-  let drift = ("drift", Model.drift_plan m) in
-  match Population.rates_plan (Model.population m) with
-  | Some p -> [ drift; ("rates", p) ]
-  | None -> [ drift ]
+let plans_of m = [ ("drift", Model.drift_plan m); ("rates", Model.rates_plan m) ]
 
 let test_model (name, m) () =
   let rng = Rng.create 20260809 in
@@ -177,7 +172,7 @@ let test_equilibria (name, m) () =
   let reference =
     List.map
       (fun theta ->
-        Ode.integrate_to (fun _t x -> di.Di.drift x theta) ~t0:0. ~y0:x0
+        Umf_reference.Ode_ref.integrate_to (fun _t x -> di.Di.drift x theta) ~t0:0. ~y0:x0
           ~t1:2. ~dt:0.05)
       (Optim.Box.sample_grid di.Di.theta grid)
   in

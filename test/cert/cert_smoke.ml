@@ -69,10 +69,9 @@ let () =
 
   (* reference run: the θ-midpoint chain is one admissible adapted
      process — rebuild the same absorbed chain and solve it precisely *)
-  let pop = Model.population model in
   let sp =
     Ctmc_of_population.state_space ~theta:(Model.theta model)
-      ~clip:(Model.clip model) ~max_states:20_000 ~truncation:`Adaptive pop
+      ~clip:(Model.clip model) ~max_states:20_000 ~truncation:`Adaptive model
       ~n ~x0:(Model.x0 model)
   in
   check "SIR lattice is exact at this n"
@@ -82,13 +81,16 @@ let () =
   let ind =
     Ctmc_of_population.reward sp (fun x -> if target x then 1. else 0.)
   in
-  let im = Ctmc_of_population.imprecise ~theta:(Model.theta model) sp pop in
-  let absorbed =
-    Ctmc.Imprecise.absorbing im ~target:(fun i -> ind.(i) = 1.)
+  (* the lattice's own generator at the θ midpoint, its target rows
+     emptied so the target states absorb *)
+  let g =
+    Ctmc_of_population.generator sp model
+      ~theta:(Optim.Box.midpoint (Model.theta model))
   in
   let g_mid =
-    Ctmc.Imprecise.generator_at absorbed
-      (Optim.Box.midpoint (Model.theta model))
+    Generator.of_rows
+      (Array.init states (fun s ->
+           if ind.(s) = 1. then [||] else Generator.outgoing g s))
   in
   let p0 = Ctmc_of_population.point_mass sp in
   let hit_mid t =

@@ -225,12 +225,11 @@ let test_drift_cert_brackets_dd () =
 (* 2. adaptive sweep vs a 10x-finer fixed grid (SIR, cholera)          *)
 
 let imprecise_of model ~n ~max_states =
-  let pop = Model.population model in
   let sp =
     Ctmc_of_population.state_space ~clip:(Model.clip model) ~max_states
-      ~truncation:`Adaptive pop ~n ~x0:(Model.x0 model)
+      ~truncation:`Adaptive model ~n ~x0:(Model.x0 model)
   in
-  let im = Ctmc_of_population.imprecise ~theta:(Model.theta model) sp pop in
+  let im = Ctmc_of_population.imprecise ~theta:(Model.theta model) sp model in
   (sp, im)
 
 let adaptive_gate name model ~n =

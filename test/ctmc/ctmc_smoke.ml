@@ -48,10 +48,9 @@ let require_identical ~model ~step ~what reference candidate =
    checks sequential vs pooled bits on the substochastic operator
    instead of a dense reference. *)
 let space_for model =
-  let pop = Model.population model in
   let exact n =
     Ctmc_of_population.state_space ~clip:(Model.clip model) ~max_states:2_000
-      pop ~n ~x0:(Model.x0 model)
+      model ~n ~x0:(Model.x0 model)
   in
   let rec go n =
     match exact n with
@@ -63,21 +62,20 @@ let space_for model =
   | None ->
       ( 50,
         Ctmc_of_population.state_space ~clip:(Model.clip model)
-          ~max_states:2_000 ~truncation:`Adaptive pop ~n:50
+          ~max_states:2_000 ~truncation:`Adaptive model ~n:50
           ~x0:(Model.x0 model) )
 
 let ab_gate pool2 pool4 (name, model) =
   let n, space = space_for model in
   let states = Ctmc_of_population.n_states space in
   check (name ^ ": nonempty lattice") (states > 0);
-  let pop = Model.population model in
   let theta = Optim.Box.midpoint (Model.theta model) in
   let truncated = Ctmc_of_population.truncated space in
   let g, leak =
     if truncated then
-      let g, leak = Ctmc_of_population.truncated_generator space pop ~theta in
+      let g, leak = Ctmc_of_population.truncated_generator space model ~theta in
       (g, Some leak)
-    else (Ctmc_of_population.generator space pop ~theta, None)
+    else (Ctmc_of_population.generator space model ~theta, None)
   in
   (* dense reference only exists for the exact operator: the dense
      uniformised matrix knows nothing of truncation leaks *)
@@ -154,14 +152,13 @@ let () =
    door and the Ctmc kernel namespace *)
 let () =
   let model = Sir.make Sir.default_params in
-  let pop = Model.population model in
   let n = 20 in
-  let space = Ctmc_of_population.state_space pop ~n ~x0:(Model.x0 model) in
+  let space = Ctmc_of_population.state_space model ~n ~x0:(Model.x0 model) in
   let states = Ctmc_of_population.n_states space in
   (* reachable lattice of the 2-var SIR: the S+I <= N simplex *)
   check "state count = simplex size" (states = (n + 1) * (n + 2) / 2);
   let theta = Optim.Box.midpoint (Model.theta model) in
-  let g = Ctmc_of_population.generator space pop ~theta in
+  let g = Ctmc_of_population.generator space model ~theta in
   check "nonempty generator" (Ctmc.Generator.nnz g > 0);
   let p0 = Ctmc_of_population.point_mass space in
   let pt = fst (Ctmc.Transient.uniformization g ~p0 ~t:1.) in

@@ -3,16 +3,30 @@ open Umf_ctmc
 
 (* single-station bike sharing chain (paper Sec. II example):
    states 0..cap bikes; arrivals take a bike at rate θa, returns add one
-   at rate θr *)
+   at rate θr.  Each edge is (src, dst, the θ coordinate that is its
+   rate): the imprecise chain stores those rates at the box's vertices,
+   and [bike_generator] assembles the precise chain at any θ. *)
+let bike_edges ~cap =
+  List.concat
+    (List.init (cap + 1) (fun k ->
+         (if k > 0 then [ (k, k - 1, 0) ] else [])
+         @ if k < cap then [ (k, k + 1, 1) ] else []))
+
 let bike_station ~cap ~theta_box =
-  let trans = ref [] in
-  for k = 0 to cap do
-    if k > 0 then
-      trans := { Imprecise_ctmc.src = k; dst = k - 1; rate = (fun th -> th.(0)) } :: !trans;
-    if k < cap then
-      trans := { Imprecise_ctmc.src = k; dst = k + 1; rate = (fun th -> th.(1)) } :: !trans
-  done;
-  Imprecise_ctmc.make ~n:(cap + 1) ~theta:theta_box !trans
+  let vertices = Optim.Box.vertices theta_box in
+  Imprecise_ctmc.make ~n:(cap + 1) ~theta:theta_box
+    (List.map
+       (fun (src, dst, j) ->
+         {
+           Imprecise_ctmc.src;
+           dst;
+           rates = Array.of_list (List.map (fun th -> th.(j)) vertices);
+         })
+       (bike_edges ~cap))
+
+let bike_generator ~cap theta =
+  Generator.make ~n:(cap + 1)
+    (List.map (fun (src, dst, j) -> (src, dst, theta.(j))) (bike_edges ~cap))
 
 let box2 a b c d = Optim.Box.make [| a; c |] [| b; d |]
 
@@ -24,18 +38,30 @@ let expectation ?steps_per_unit sense m ~h ~horizon =
 let lower ?steps_per_unit m = expectation ?steps_per_unit `Lower m
 let upper ?steps_per_unit m = expectation ?steps_per_unit `Upper m
 
-let test_generator_at () =
+let test_vertex_rates () =
+  (* vertices of [1,2] x [1,3] in Box.vertices order: (1,1) (1,3) (2,1)
+     (2,3); each transition keeps its rate at every one *)
   let m = bike_station ~cap:3 ~theta_box:(box2 1. 2. 1. 3.) in
-  let g = Imprecise_ctmc.generator_at m [| 1.5; 2. |] in
-  Alcotest.(check (float 1e-12)) "interior exit" 3.5 (Generator.exit_rate g 1);
-  Alcotest.(check (float 1e-12)) "boundary exit (no departures at 0)" 2.
-    (Generator.exit_rate g 0)
+  let out_of x =
+    List.filter (fun tr -> tr.Imprecise_ctmc.src = x) (Imprecise_ctmc.transitions m)
+    |> List.map (fun tr -> (tr.Imprecise_ctmc.dst, tr.Imprecise_ctmc.rates))
+  in
+  Alcotest.(check (list (pair int (array (float 0.)))))
+    "interior state: departure then return"
+    [ (0, [| 1.; 1.; 2.; 2. |]); (2, [| 1.; 3.; 1.; 3. |]) ]
+    (out_of 1);
+  Alcotest.(check (list (pair int (array (float 0.)))))
+    "boundary state: no departures at 0"
+    [ (1, [| 1.; 3.; 1.; 3. |]) ]
+    (out_of 0);
+  Alcotest.(check (float 0.)) "exit bound at the (2,3) vertex" 5.
+    (Imprecise_ctmc.max_exit_bound m)
 
 let test_degenerate_box_matches_precise () =
   (* point box: lower = upper = exact transient expectation *)
   let theta = [| 1.2; 0.8 |] in
   let m = bike_station ~cap:4 ~theta_box:(box2 1.2 1.2 0.8 0.8) in
-  let g = Imprecise_ctmc.generator_at m theta in
+  let g = bike_generator ~cap:4 theta in
   let h = Array.init 5 float_of_int in
   let lo = lower ~steps_per_unit:2000 m ~h ~horizon:1. in
   let hi = upper ~steps_per_unit:2000 m ~h ~horizon:1. in
@@ -86,7 +112,7 @@ let test_simulation_within_bounds () =
   let hi = upper m ~h ~horizon in
   let policies =
     [
-      ("constant mid", Imprecise_ctmc.constant_policy [| 2.; 2. |]);
+      ("constant mid", fun ~t:_ ~x:_ -> [| 2.; 2. |]);
       ("time switch", fun ~t ~x:_ -> if t < 1. then [| 1.; 3. |] else [| 3.; 1. |]);
       ("state feedback", fun ~t:_ ~x -> if x > 2 then [| 3.; 1. |] else [| 1.; 3. |]);
     ]
@@ -96,7 +122,15 @@ let test_simulation_within_bounds () =
       let rng = Rng.create 77 in
       let acc = Stats.Running.create () in
       for _ = 1 to 600 do
-        let p = Imprecise_ctmc.simulate rng m policy ~x0:3 ~tmax:horizon in
+        (* exact thinning at the chain's exit bound, the generator
+           rebuilt at the policy's θ *)
+        let p =
+          Simulate.run_imprecise
+            ~rate_bound:(Imprecise_ctmc.max_exit_bound m *. 1.000001)
+            rng
+            (fun ~t ~x -> bike_generator ~cap:5 (Optim.Box.clamp box (policy ~t ~x)))
+            ~x0:3 ~tmax:horizon
+        in
         Stats.Running.add acc h.(Path.final_state p)
       done;
       let mean = Stats.Running.mean acc in
@@ -182,62 +216,31 @@ let test_series_matches_single_horizon () =
         times)
     [ `Lower; `Upper ]
 
-let path_equal (a : Path.t) (b : Path.t) =
-  a.Path.times = b.Path.times && a.Path.states = b.Path.states
-  && a.Path.horizon = b.Path.horizon
-
-let test_simulate_cache_bitwise () =
-  (* the cached-rows fast path, the scratch-buffer overflow path
-     (cache:0) and the rebuild-a-generator-per-jump reference must
-     produce draw-for-draw identical paths *)
-  let box = box2 1. 3. 1. 3. in
-  let m = bike_station ~cap:5 ~theta_box:box in
-  let policies =
-    [
-      ("constant", Imprecise_ctmc.constant_policy [| 2.; 2. |]);
-      ("time switch", fun ~t ~x:_ -> if t < 1. then [| 1.; 3. |] else [| 3.; 1. |]);
-      ("state feedback", fun ~t:_ ~x -> if x > 2 then [| 3.; 1. |] else [| 1.; 3. |]);
-    ]
-  in
-  List.iter
-    (fun (name, policy) ->
-      let cached =
-        Imprecise_ctmc.simulate (Rng.create 123) m policy ~x0:3 ~tmax:4.
-      in
-      let uncached =
-        Imprecise_ctmc.simulate ~cache:0 (Rng.create 123) m policy ~x0:3
-          ~tmax:4.
-      in
-      let reference =
-        Simulate.run_imprecise
-          ~rate_bound:(Imprecise_ctmc.max_exit_bound m *. 1.000001)
-          (Rng.create 123)
-          (fun ~t ~x ->
-            Imprecise_ctmc.generator_at m
-              (Optim.Box.clamp box (policy ~t ~x)))
-          ~x0:3 ~tmax:4.
-      in
-      Alcotest.(check bool) (name ^ ": cache = no cache") true
-        (path_equal cached uncached);
-      Alcotest.(check bool) (name ^ ": cache = generator rebuild") true
-        (path_equal cached reference))
-    policies
-
-let test_negative_rate_detected () =
-  let m =
-    Imprecise_ctmc.make ~n:2
-      ~theta:(Optim.Box.make [| -1. |] [| 1. |])
-      [ { Imprecise_ctmc.src = 0; dst = 1; rate = (fun th -> th.(0)) } ]
+let test_bad_rates_refused () =
+  (* the sweep's convex-combination bound needs rates >= 0 on Θ: a
+     negative or NaN vertex rate is refused when the chain is built *)
+  let box = Optim.Box.make [| -1. |] [| 1. |] in
+  let chain rates =
+    Imprecise_ctmc.make ~n:2 ~theta:box [ { Imprecise_ctmc.src = 0; dst = 1; rates } ]
   in
   Alcotest.check_raises "negative rate"
-    (Invalid_argument "Imprecise_ctmc: negative rate at theta") (fun () ->
-      ignore (Imprecise_ctmc.generator_at m [| -0.5 |]))
+    (Invalid_argument
+       "Imprecise_ctmc.make: transition 0 -> 1 has rate -1 at theta vertex 0")
+    (fun () -> ignore (chain [| -1.; 1. |]));
+  Alcotest.check_raises "NaN rate"
+    (Invalid_argument
+       "Imprecise_ctmc.make: transition 0 -> 1 has rate nan at theta vertex 1")
+    (fun () -> ignore (chain [| 1.; Float.nan |]));
+  Alcotest.check_raises "one rate per vertex"
+    (Invalid_argument
+       "Imprecise_ctmc.make: transition 0 -> 1 has 1 rates for 2 theta vertices")
+    (fun () -> ignore (chain [| 1. |]))
 
 let suites =
   [
     ( "imprecise_ctmc",
       [
-        Alcotest.test_case "generator at theta" `Quick test_generator_at;
+        Alcotest.test_case "vertex rates" `Quick test_vertex_rates;
         Alcotest.test_case "degenerate box = precise" `Quick test_degenerate_box_matches_precise;
         Alcotest.test_case "bound ordering and nesting" `Quick test_bounds_order_and_nesting;
         Alcotest.test_case "zero horizon" `Quick test_horizon_zero_is_reward;
@@ -247,9 +250,7 @@ let suites =
           test_coarse_grid_auto_refined;
         Alcotest.test_case "series matches single horizon" `Quick
           test_series_matches_single_horizon;
-        Alcotest.test_case "simulate cache bit-identical" `Quick
-          test_simulate_cache_bitwise;
-        Alcotest.test_case "negative rate detection" `Quick test_negative_rate_detected;
+        Alcotest.test_case "negative rate detection" `Quick test_bad_rates_refused;
         Alcotest.test_case "series snapshots" `Quick test_series_snapshots;
       ] );
   ]

@@ -83,13 +83,14 @@ let test_cross_check_with_ictmc () =
   (* the Euler interval-DTMC of an imprecise CTMC gives sound, slightly
      wider bounds than the CTMC's own lower expectation *)
   let box = Optim.Box.make [| 1.; 1. |] [| 2.; 3. |] in
+  let at f = Array.of_list (List.map f (Optim.Box.vertices box)) in
   let ictmc =
     Imprecise_ctmc.make ~n:3 ~theta:box
       [
-        { Imprecise_ctmc.src = 0; dst = 1; rate = (fun th -> th.(0)) };
-        { Imprecise_ctmc.src = 1; dst = 2; rate = (fun th -> th.(1)) };
-        { Imprecise_ctmc.src = 2; dst = 0; rate = (fun _ -> 1.) };
-        { Imprecise_ctmc.src = 1; dst = 0; rate = (fun th -> th.(0)) };
+        { Imprecise_ctmc.src = 0; dst = 1; rates = at (fun th -> th.(0)) };
+        { Imprecise_ctmc.src = 1; dst = 0; rates = at (fun th -> th.(0)) };
+        { Imprecise_ctmc.src = 1; dst = 2; rates = at (fun th -> th.(1)) };
+        { Imprecise_ctmc.src = 2; dst = 0; rates = at (fun _ -> 1.) };
       ]
   in
   let horizon = 1.5 in
@@ -125,7 +126,7 @@ let test_dt_too_large () =
   let box = Optim.Box.make [| 10. |] [| 10. |] in
   let ictmc =
     Imprecise_ctmc.make ~n:2 ~theta:box
-      [ { Imprecise_ctmc.src = 0; dst = 1; rate = (fun th -> th.(0)) } ]
+      [ { Imprecise_ctmc.src = 0; dst = 1; rates = [| 10. |] } ]
   in
   Alcotest.check_raises "dt too large"
     (Invalid_argument "Interval_dtmc.of_imprecise_ctmc: dt too large for exit rates")

@@ -70,6 +70,46 @@ let test_time_varying_generator () =
   (* almost surely no jump before t = 5, many after *)
   Alcotest.(check bool) "jumps mostly after switch" true (Path.jumps p > 100)
 
+(* Lewis/Ogata thinning at a constant bound: the path is a sample of the
+   same chain, so its occupancy approaches the stationary law *)
+let test_thinned_occupancy () =
+  let p =
+    Simulate.run_imprecise ~rate_bound:5. (Rng.create 7)
+      (fun ~t:_ ~x:_ -> two_state ())
+      ~x0:0 ~tmax:5000.
+  in
+  let occ = Path.occupancy p 2 in
+  Alcotest.(check bool) "near 0.6" true (Float.abs (occ.(0) -. 0.6) < 0.03);
+  Alcotest.(check bool) "near 0.4" true (Float.abs (occ.(1) -. 0.4) < 0.03)
+
+let test_thinning_bound_checked () =
+  let gen ~t:_ ~x:_ = two_state () in
+  Alcotest.check_raises "an exit rate over the bound"
+    (Invalid_argument "Simulate: rate_bound exceeded") (fun () ->
+      ignore
+        (Simulate.run_imprecise ~rate_bound:2.5 (Rng.create 8) gen ~x0:0
+           ~tmax:10.));
+  Alcotest.check_raises "a non-positive bound"
+    (Invalid_argument "Simulate: rate_bound <= 0") (fun () ->
+      ignore
+        (Simulate.run_imprecise ~rate_bound:0. (Rng.create 8) gen ~x0:0
+           ~tmax:1.))
+
+(* without a bound the generator is frozen between jumps: a constant one
+   draws exactly the path [run] draws from the same seed *)
+let test_frozen_constant_is_run () =
+  let g =
+    Generator.make ~n:3 [ (0, 1, 2.); (1, 2, 1.5); (2, 0, 0.5); (1, 0, 1.) ]
+  in
+  let a = Simulate.run (Rng.create 9) g ~x0:0 ~tmax:20. in
+  let b =
+    Simulate.run_imprecise (Rng.create 9) (fun ~t:_ ~x:_ -> g) ~x0:0 ~tmax:20.
+  in
+  Alcotest.(check bool) "same jumps" true
+    (Path.jumps a > 0 && Path.jumps a = Path.jumps b);
+  Alcotest.(check bool) "same path" true
+    (a.Path.times = b.Path.times && a.Path.states = b.Path.states)
+
 let suites =
   [
     ( "simulate",
@@ -81,5 +121,11 @@ let suites =
         Alcotest.test_case "seed determinism" `Quick test_deterministic_given_seed;
         Alcotest.test_case "mean reward" `Slow test_mean_reward;
         Alcotest.test_case "time-varying generator" `Quick test_time_varying_generator;
+        Alcotest.test_case "thinned occupancy vs stationary" `Quick
+          test_thinned_occupancy;
+        Alcotest.test_case "thinning bound checked" `Quick
+          test_thinning_bound_checked;
+        Alcotest.test_case "frozen constant generator = run" `Quick
+          test_frozen_constant_is_run;
       ] );
   ]

@@ -202,6 +202,19 @@ let test_adaptive_bounds_truncated_run () =
         (Float.abs (cut.certs.(j).(0).Cert.budget.truncation -. lost) < 1e-12))
     cut.lost
 
+let test_grid_cap () =
+  (* the engine's θ grid shares the analysis spec's cap: 1000 per axis
+     on bikenet's three axes is refused at spec time, before any θ
+     vector is built *)
+  let bikenet = Registry.find_exn "bikenet" in
+  Alcotest.check_raises "1000 per axis on bikenet"
+    (Invalid_argument
+       "Engine.spec: an uncertain grid of 1000 per axis has 1e+09 points, \
+        over the limit of 4096") (fun () ->
+      ignore
+        (Ctmc.Engine.spec ~scenario:(Ctmc.Engine.Uncertain 1000) ~n:5 bikenet));
+  ignore (Ctmc.Engine.spec ~scenario:(Ctmc.Engine.Uncertain 16) ~n:5 bikenet)
+
 let suites =
   [
     ( "finite_n",
@@ -216,5 +229,6 @@ let suites =
           test_adaptive_bounds_exact_run;
         Alcotest.test_case "adaptive certifies truncated run" `Quick
           test_adaptive_bounds_truncated_run;
+        Alcotest.test_case "theta grid cap" `Quick test_grid_cap;
       ] );
   ]

@@ -53,7 +53,7 @@ let test_map_imprecise_strictly_larger () =
 
 let test_map_and_poisson_cycle_times_match () =
   (* the lambda' construction equates mean time between jobs *)
-  let box_p = (Gps.poisson_model p).Population.theta in
+  let box_p = (Model.theta (Gps.make_poisson p)) in
   let l1' = box_p.Optim.Box.hi.(0) in
   Alcotest.(check (float 1e-9)) "mean cycle matched"
     ((1. /. p.Gps.a1) +. (1. /. Interval.hi p.Gps.lambda1))
@@ -62,7 +62,7 @@ let test_map_and_poisson_cycle_times_match () =
 let test_ssa_within_pontryagin_bounds () =
   (* finite-N simulation under an adversarial feedback policy stays
      within the imprecise fluid bounds up to O(1/sqrt N) noise *)
-  let model = Gps.poisson_model p in
+  let model = Gps.make_poisson p in
   let di = Gps.poisson_di p in
   let horizon = 3. in
   let i_lo =
@@ -71,7 +71,7 @@ let test_ssa_within_pontryagin_bounds () =
   let i_hi =
     (Pontryagin.solve ~steps:250 di ~x0:Gps.x0_poisson ~horizon ~sense:`Max (`Coord 0)).value
   in
-  let box = model.Population.theta in
+  let box = (Model.theta model) in
   let policy =
     Policy.feedback "adversarial" (fun _t x ->
         if x.(0) < 0.15 then box.Optim.Box.hi else box.Optim.Box.lo)

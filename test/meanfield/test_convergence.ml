@@ -2,12 +2,14 @@ open Umf_numerics
 open Umf_meanfield
 
 let bd_model () =
-  let tr name change rate = { Population.name; change; rate } in
-  Population.make ~name:"bd" ~var_names:[| "X" |] ~theta_names:[| "theta" |]
+  let open Expr in
+  let tr name change rate = { Model.name; change; rate } in
+  Model.make ~name:"bd" ~var_names:[| "X" |] ~theta_names:[| "theta" |]
     ~theta:(Optim.Box.make [| 0.5 |] [| 2. |])
+    ~x0:[| 0.5 |]
     [
-      tr "birth" [| 1. |] (fun x th -> th.(0) *. Float.max 0. (1. -. x.(0)));
-      tr "death" [| -1. |] (fun x _ -> Float.max 0. x.(0));
+      tr "birth" [| 1. |] (theta 0 *: max_ (const 0.) (const 1. -: var 0));
+      tr "death" [| -1. |] (max_ (const 0.) (var 0));
     ]
 
 let test_sup_distance () =

@@ -2,12 +2,14 @@ open Umf_numerics
 open Umf_meanfield
 
 let bd_model () =
-  let tr name change rate = { Population.name; change; rate } in
-  Population.make ~name:"bd" ~var_names:[| "X" |] ~theta_names:[| "theta" |]
+  let open Expr in
+  let tr name change rate = { Model.name; change; rate } in
+  Model.make ~name:"bd" ~var_names:[| "X" |] ~theta_names:[| "theta" |]
     ~theta:(Optim.Box.make [| 0.5 |] [| 2. |])
+    ~x0:[| 0.5 |]
     [
-      tr "birth" [| 1. |] (fun x th -> th.(0) *. Float.max 0. (1. -. x.(0)));
-      tr "death" [| -1. |] (fun x _ -> Float.max 0. x.(0));
+      tr "birth" [| 1. |] (theta 0 *: max_ (const 0.) (const 1. -: var 0));
+      tr "death" [| -1. |] (max_ (const 0.) (var 0));
     ]
 
 let constant th = Policy.constant [| th |]
@@ -109,9 +111,10 @@ let test_policy_jump_channel_fires () =
 let test_negative_count_detected () =
   (* a deliberately broken model whose death rate does not vanish at 0 *)
   let bad =
-    Population.make ~name:"bad" ~var_names:[| "X" |] ~theta_names:[||]
+    Model.make ~name:"bad" ~var_names:[| "X" |] ~theta_names:[||]
       ~theta:(Optim.Box.make [||] [||])
-      [ { Population.name = "death"; change = [| -1. |]; rate = (fun _ _ -> 1.) } ]
+      ~x0:[| 0.4 |]
+      [ { Model.name = "death"; change = [| -1. |]; rate = Expr.const 1. } ]
   in
   let policy = Policy.constant [||] in
   Alcotest.(check bool) "raises on negative count" true

@@ -7,10 +7,10 @@ let p = Bikenetwork.default_params
 let test_validation () =
   Alcotest.check_raises "routing sums"
     (Invalid_argument "Bikenetwork: routing must sum to 1") (fun () ->
-      ignore (Bikenetwork.model { p with Bikenetwork.routing = [| 0.5; 0.5; 0.5 |] }));
+      ignore (Bikenetwork.make { p with Bikenetwork.routing = [| 0.5; 0.5; 0.5 |] }));
   Alcotest.check_raises "fleet range"
     (Invalid_argument "Bikenetwork: fleet density must be in (0, 1)") (fun () ->
-      ignore (Bikenetwork.model (Bikenetwork.with_fleet p 1.5)))
+      ignore (Bikenetwork.make (Bikenetwork.with_fleet p 1.5)))
 
 let test_x0_structure () =
   let x0 = Bikenetwork.x0 p in
@@ -20,10 +20,10 @@ let test_x0_structure () =
   Alcotest.(check (float 1e-12)) "nothing in transit" 0. x0.(3)
 
 let test_drift_conserves_fleet () =
-  let m = Bikenetwork.model p in
+  let m = Bikenetwork.make p in
   List.iter
     (fun (x, th) ->
-      let f = Population.drift m x th in
+      let f = Model.drift m x th in
       Alcotest.(check (float 1e-12)) "sum of drift = 0" 0. (Vec.sum f))
     [
       (Bikenetwork.x0 p, [| 0.8; 0.4; 0.4 |]);
@@ -32,20 +32,20 @@ let test_drift_conserves_fleet () =
     ]
 
 let test_boundary_rates () =
-  let m = Bikenetwork.model p in
+  let m = Bikenetwork.make p in
   (* empty station: no departures from it *)
   let x_empty = [| 0.; 0.2; 0.2; 0.2 |] in
-  let f = Population.drift m x_empty [| 1.2; 0.6; 0.6 |] in
+  let f = Model.drift m x_empty [| 1.2; 0.6; 0.6 |] in
   (* station 1 only gains (returns), never loses *)
   Alcotest.(check bool) "empty station cannot lose bikes" true (f.(0) >= 0.);
   (* full station: returns blocked *)
   let cap = 1. /. 3. in
   let x_full = [| cap; 0.1; 0.1; 0.1 |] in
-  let f2 = Population.drift m x_full [| 1.2; 0.6; 0.6 |] in
+  let f2 = Model.drift m x_full [| 1.2; 0.6; 0.6 |] in
   Alcotest.(check bool) "full station only loses" true (f2.(0) <= 0.)
 
 let test_ssa_conserves_fleet () =
-  let m = Bikenetwork.model p in
+  let m = Bikenetwork.make p in
   let rng = Rng.create 3 in
   let x0 = Bikenetwork.x0 p in
   let traj =
@@ -74,7 +74,7 @@ let test_fluid_balance () =
   in
   let di = Bikenetwork.di sym in
   let eq =
-    Ode.integrate_to
+    Umf_reference.Ode_ref.integrate_to
       (fun _t x -> di.Umf_diffinc.Di.drift x [| 0.5; 0.5; 0.5 |])
       ~t0:0. ~y0:(Bikenetwork.x0 sym) ~t1:100. ~dt:0.01
   in

@@ -5,26 +5,43 @@ open Umf_models
 
 let p = Bikesharing.default_params
 
+(* the precise chain of an imprecise one at its v-th θ-vertex *)
+let vertex_generator m v =
+  Generator.make ~n:(Imprecise_ctmc.n_states m)
+    (List.map
+       (fun tr -> Imprecise_ctmc.(tr.src, tr.dst, tr.rates.(v)))
+       (Imprecise_ctmc.transitions m))
+
+(* the station at one constant θ: a point box has a single vertex *)
+let station_at ~capacity (ta, tr) =
+  let point v = Interval.make v v in
+  vertex_generator
+    (Bikesharing.ictmc { arrival = point ta; return_ = point tr } ~capacity)
+    0
+
 let test_drift_interior () =
-  let m = Bikesharing.model p in
+  let m = Bikesharing.make p in
   (* interior: f = theta_r - theta_a *)
-  let f = Population.drift m [| 0.5 |] [| 1.; 1.2 |] in
+  let f = Model.drift m [| 0.5 |] [| 1.; 1.2 |] in
   Alcotest.(check (float 1e-12)) "net flow" 0.2 f.(0)
 
 let test_drift_boundaries () =
-  let m = Bikesharing.model p in
-  let f_empty = Population.drift m [| 0. |] [| 1.4; 0.9 |] in
+  let m = Bikesharing.make p in
+  let f_empty = Model.drift m [| 0. |] [| 1.4; 0.9 |] in
   Alcotest.(check (float 1e-12)) "no departures when empty" 0.9 f_empty.(0);
-  let f_full = Population.drift m [| 1. |] [| 1.4; 0.9 |] in
+  let f_full = Model.drift m [| 1. |] [| 1.4; 0.9 |] in
   Alcotest.(check (float 1e-12)) "no returns when full" (-1.4) f_full.(0)
 
 let test_ictmc_structure () =
   let m = Bikesharing.ictmc p ~capacity:5 in
   Alcotest.(check int) "states" 6 (Imprecise_ctmc.n_states m);
-  let g = Imprecise_ctmc.generator_at m [| 1.; 1.2 |] in
+  (* vertex 1 of [0.8, 1.4] x [0.9, 1.2] is (0.8, 1.2) *)
+  let g = vertex_generator m 1 in
   Alcotest.(check (float 1e-12)) "state 0: only returns" 1.2 (Generator.exit_rate g 0);
-  Alcotest.(check (float 1e-12)) "state 5: only departures" 1. (Generator.exit_rate g 5);
-  Alcotest.(check (float 1e-12)) "interior" 2.2 (Generator.exit_rate g 3)
+  Alcotest.(check (float 1e-12)) "state 5: only departures" 0.8 (Generator.exit_rate g 5);
+  Alcotest.(check (float 1e-12)) "interior" 2. (Generator.exit_rate g 3);
+  Alcotest.(check (float 1e-12)) "exit bound at the (1.4, 1.2) vertex" 2.6
+    (Imprecise_ctmc.max_exit_bound m)
 
 let test_ictmc_bounds_bracket_constant_theta () =
   let capacity = 8 in
@@ -40,7 +57,7 @@ let test_ictmc_bounds_bracket_constant_theta () =
   let x0 = 4 in
   List.iter
     (fun (ta, tr) ->
-      let g = Imprecise_ctmc.generator_at m [| ta; tr |] in
+      let g = station_at ~capacity (ta, tr) in
       let p0 = Array.init (capacity + 1) (fun i -> if i = x0 then 1. else 0.) in
       let e = Vec.dot (fst (Transient.uniformization g ~p0 ~t:horizon)) h in
       Alcotest.(check bool)
@@ -66,8 +83,7 @@ let test_meanfield_matches_ictmc_large_capacity () =
      occupancy expectation at large N approaches the fluid solution *)
   let capacity = 200 in
   let theta = [| 0.9; 1.2 |] in
-  let m = Bikesharing.ictmc { arrival = Interval.make 0.9 0.9; return_ = Interval.make 1.2 1.2 } ~capacity in
-  let g = Imprecise_ctmc.generator_at m theta in
+  let g = station_at ~capacity (theta.(0), theta.(1)) in
   (* note: the finite chain takes ~N time to fill since rates are O(1);
      the population model's rates are N-scaled, so compare at time N*t *)
   let t_fluid = 0.5 in
@@ -88,7 +104,7 @@ let test_meanfield_matches_ictmc_large_capacity () =
     (Float.abs ((Ode.Traj.last fluid).(0) -. e) < 0.05)
 
 let test_ssa_boundaries_respected () =
-  let m = Bikesharing.model p in
+  let m = Bikesharing.make p in
   let rng = Rng.create 21 in
   let policy =
     Policy.feedback "adversarial" (fun _t x ->

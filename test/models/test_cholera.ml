@@ -6,19 +6,19 @@ open Umf_models
 let p = Cholera.default_params
 
 let test_drift_structure () =
-  let m = Cholera.model p in
+  let m = Cholera.make p in
   (* at x0 = (0.9, 0.1, 0): no water infection yet, shedding positive *)
-  let f = Population.drift m Cholera.x0 [| 2. |] in
+  let f = Model.drift m Cholera.x0 [| 2. |] in
   (* dS = -a S + rho (1 - S - I) = -0.009 + 0.2*0 = -0.009 *)
   Alcotest.(check (float 1e-12)) "dS" (-.(p.Cholera.a *. 0.9)) f.(0);
   (* dW = xi I - delta W = 0.1 *)
   Alcotest.(check (float 1e-12)) "dW" (p.Cholera.xi *. 0.1) f.(2)
 
 let test_water_drives_infection () =
-  let m = Cholera.model p in
+  let m = Cholera.make p in
   let x = [| 0.8; 0.1; 0.5 |] in
-  let f_lo = Population.drift m x [| 0.5 |] in
-  let f_hi = Population.drift m x [| 4. |] in
+  let f_lo = Model.drift m x [| 0.5 |] in
+  let f_hi = Model.drift m x [| 4. |] in
   Alcotest.(check bool) "more rainfall, faster infection" true
     (f_hi.(1) > f_lo.(1));
   Alcotest.(check (float 1e-9)) "difference = dtheta * S * W"
@@ -28,9 +28,9 @@ let test_water_drives_infection () =
 let test_symbolic_jacobian_vs_fd () =
   let s = Cholera.make p in
   let x = [| 0.7; 0.2; 0.4 |] and th = [| 2. |] in
-  let sym = Model.jacobian s x th in
-  let m = Cholera.model p in
-  let fd = Diff.jacobian (fun y -> Population.drift m y th) x in
+  let sym = Umf_reference.Jacobian.of_model s x th in
+  let m = Cholera.make p in
+  let fd = Diff.jacobian (fun y -> Model.drift m y th) x in
   Alcotest.(check bool) "symbolic = FD" true (Mat.approx_equal ~tol:1e-5 sym fd)
 
 let test_affine_in_theta () =
@@ -40,32 +40,32 @@ let test_affine_in_theta () =
 let test_transition_structure () =
   (* epidemiological transitions never touch W; reservoir transitions
      never touch the population; infection conserves S + I *)
-  let m = Cholera.model p in
-  Array.iter
-    (fun tr ->
-      let ch = tr.Population.change in
-      match tr.Population.name with
+  let m = Cholera.make p in
+  List.iter
+    (fun (tr : Model.transition) ->
+      let ch = tr.Model.change in
+      match tr.Model.name with
       | "infection" ->
           Alcotest.(check (float 1e-12)) "infection conserves S+I" 0.
             (ch.(0) +. ch.(1));
           Alcotest.(check (float 1e-12)) "infection leaves W" 0. ch.(2)
       | "recovery" | "immunity-loss" ->
-          Alcotest.(check (float 1e-12)) (tr.Population.name ^ " leaves W") 0.
+          Alcotest.(check (float 1e-12)) (tr.Model.name ^ " leaves W") 0.
             ch.(2)
       | "shedding" | "decay" ->
-          Alcotest.(check (float 1e-12)) (tr.Population.name ^ " leaves S") 0.
+          Alcotest.(check (float 1e-12)) (tr.Model.name ^ " leaves S") 0.
             ch.(0);
-          Alcotest.(check (float 1e-12)) (tr.Population.name ^ " leaves I") 0.
+          Alcotest.(check (float 1e-12)) (tr.Model.name ^ " leaves I") 0.
             ch.(1)
       | other -> Alcotest.failf "unexpected transition %s" other)
-    m.Population.transitions
+    (Model.transitions m)
 
 let test_endemic_equilibrium () =
   (* with constant theta, the fluid settles to an endemic equilibrium
      with consistent W = xi I / delta *)
   let di = Cholera.di p in
   let eq =
-    Ode.fixed_point ~max_time:2000.
+    Umf_reference.Ode_ref.fixed_point ~max_time:2000.
       (fun _t x -> di.Umf_diffinc.Di.drift x [| 2. |])
       Cholera.x0
   in
@@ -123,7 +123,7 @@ let test_certified_hull_3d () =
     [ 0.5; 2.; 4. ]
 
 let test_ssa_runs () =
-  let m = Cholera.model p in
+  let m = Cholera.make p in
   let rng = Rng.create 3 in
   let x =
     Ssa.final m ~n:500 ~x0:Cholera.x0 ~policy:(Policy.constant [| 2. |])

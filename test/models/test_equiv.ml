@@ -13,7 +13,7 @@ open Umf_meanfield
 open Umf_models
 
 (* a golden model is a list of (change vector, rate closure); its drift
-   is the rate-weighted sum of change vectors, as Population.drift *)
+   is the rate-weighted sum of change vectors, as Model.drift *)
 let golden_drift dim transitions x th =
   let v = Vec.zeros dim in
   List.iter
@@ -252,6 +252,41 @@ let test_drift_matches_golden () =
       done)
     (golden_models ())
 
+(* the rates plan, class by class: the k-th rate (at n = 1, the
+   density-scaled β) and change vector are the k-th golden transition's.
+   This is the one place a rate is evaluated — the finite-N lattice, the
+   imprecise chain's vertex rates and the SSA all read it *)
+let test_rates_match_golden () =
+  List.iter
+    (fun (name, (m, transitions)) ->
+      let classes = Model.transitions m in
+      Alcotest.(check int)
+        (name ^ ": one rate per golden transition")
+        (List.length transitions) (List.length classes);
+      List.iter2
+        (fun (tr : Model.transition) (change, _) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s: change vector" name tr.name)
+            true
+            (Vec.approx_equal ~tol:0. change tr.change))
+        classes transitions;
+      let rng = Rng.create 2017 in
+      for k = 1 to n_samples do
+        let x = Optim.Box.sample_uniform rng (Model.clip m) in
+        let th = Optim.Box.sample_uniform rng (Model.theta m) in
+        let betas = Model.propensities m ~n:1 x th in
+        List.iteri
+          (fun j (_, rate) ->
+            let golden = rate x th in
+            Alcotest.(check bool)
+              (Printf.sprintf "%s rate %d sample %d: %g vs golden %g" name j k
+                 betas.(j) golden)
+              true
+              (close betas.(j) golden))
+          transitions
+      done)
+    (golden_models ())
+
 (* the compiled tape must agree with the Expr interpreter bit-for-bit
    on every registered model — tape bugs cannot hide behind tolerance *)
 let test_tape_matches_interpreter () =
@@ -289,7 +324,7 @@ let test_jacobian_matches_interpreter () =
       for k = 1 to 10 do
         let x = Optim.Box.sample_uniform rng (Model.clip m) in
         let th = Optim.Box.sample_uniform rng (Model.theta m) in
-        let jac = Model.jacobian m x th in
+        let jac = Umf_reference.Jacobian.of_model m x th in
         Array.iteri
           (fun i row ->
             Array.iteri
@@ -340,6 +375,8 @@ let suites =
       [
         Alcotest.test_case "compiled drift = golden closures" `Quick
           test_drift_matches_golden;
+        Alcotest.test_case "rates plan = golden rate closures" `Quick
+          test_rates_match_golden;
         Alcotest.test_case "tape drift = Expr interpreter" `Quick
           test_tape_matches_interpreter;
         Alcotest.test_case "tape jacobian = interpreted derivative" `Quick

@@ -30,9 +30,9 @@ let test_drift_vanishes_at_fixed_point () =
      truncation error lambda * x_{kmax}^d *)
   List.iter
     (fun p ->
-      let m = Loadbalance.model p in
+      let m = Loadbalance.make p in
       let fp = Loadbalance.fixed_point p ~lambda:0.7 in
-      let f = Population.drift m fp [| 0.7 |] in
+      let f = Model.drift m fp [| 0.7 |] in
       let kk = p.Loadbalance.k_max in
       for i = 0 to kk - 2 do
         Alcotest.(check (float 1e-12))
@@ -51,7 +51,7 @@ let test_drift_vanishes_at_fixed_point () =
 let test_ode_converges_to_fixed_point () =
   let di = Loadbalance.di p2 in
   let eq =
-    Ode.integrate_to
+    Umf_reference.Ode_ref.integrate_to
       (fun _t x -> di.Umf_diffinc.Di.drift x [| 0.7 |])
       ~t0:0. ~y0:(Loadbalance.x0_empty p2) ~t1:200. ~dt:0.01
   in
@@ -72,7 +72,7 @@ let test_power_of_two_wins () =
     (q 2 < 0.5 *. q 1)
 
 let test_ssa_preserves_tail_monotonicity () =
-  let m = Loadbalance.model p2 in
+  let m = Loadbalance.make p2 in
   let rng = Rng.create 5 in
   let traj =
     Ssa.trajectory m ~n:200 ~x0:(Loadbalance.x0_empty p2)
@@ -84,7 +84,7 @@ let test_ssa_preserves_tail_monotonicity () =
     traj.Ode.Traj.states
 
 let test_ssa_matches_fluid () =
-  let m = Loadbalance.model p2 in
+  let m = Loadbalance.make p2 in
   let avg =
     Ssa.time_average m ~n:3000 ~x0:(Loadbalance.x0_empty p2)
       ~policy:(Policy.constant [| 0.8 |]) ~tmax:80. ~warmup:30.

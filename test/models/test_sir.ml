@@ -33,9 +33,9 @@ let test_default_params () =
   Alcotest.(check (float 1e-12)) "x0 I" 0.3 Sir.x0.(1)
 
 let test_model_drift_matches_closed_form () =
-  let m = Sir.model p in
+  let m = Sir.make p in
   let check x theta =
-    let from_classes = Population.drift m x [| theta |] in
+    let from_classes = Model.drift m x [| theta |] in
     let closed = drift x [| theta |] in
     Alcotest.(check bool)
       (Printf.sprintf "drift at (%g, %g), theta=%g" x.(0) x.(1) theta)
@@ -49,11 +49,11 @@ let test_model_drift_matches_closed_form () =
 let test_model3_reduction () =
   (* projecting the 3-variable drift onto (S, I) with R = 1 - S - I must
      equal the reduced drift *)
-  let m3 = Sir.model3 p in
+  let m3 = Sir.make3 p in
   List.iter
     (fun (s, i, th) ->
       let r = 1. -. s -. i in
-      let f3 = Population.drift m3 [| s; i; r |] [| th |] in
+      let f3 = Model.drift m3 [| s; i; r |] [| th |] in
       let f2 = drift [| s; i |] [| th |] in
       Alcotest.(check (float 1e-12)) "fS matches" f2.(0) f3.(0);
       Alcotest.(check (float 1e-12)) "fI matches" f2.(1) f3.(1);
@@ -67,7 +67,7 @@ let test_jacobian_matches_fd () =
   let fd = Diff.jacobian (fun y -> drift y theta) x in
   Alcotest.(check bool) "jacobian matches FD" true
     (Mat.approx_equal ~tol:1e-5 analytic fd);
-  let exact = Model.jacobian (Sir.make p) x theta in
+  let exact = Umf_reference.Jacobian.of_model (Sir.make p) x theta in
   Alcotest.(check bool) "symbolic jacobian matches closed form" true
     (Mat.approx_equal ~tol:1e-12 analytic exact)
 
@@ -95,7 +95,7 @@ let test_policy_theta2_rate () =
 
 let test_invariant_simplex_under_ssa () =
   (* S + I <= 1 and both non-negative along a stochastic run *)
-  let m = Sir.model p in
+  let m = Sir.make p in
   let rng = Rng.create 3 in
   let traj =
     Ssa.trajectory m ~n:200 ~x0:Sir.x0 ~policy:(Sir.policy_theta1 p) ~tmax:5. rng

@@ -14,10 +14,10 @@ let drift x theta =
   |]
 
 let test_drift_closed_form () =
-  let m = Sis.model p in
+  let m = Sis.make p in
   List.iter
     (fun (x, beta) ->
-      let from_classes = Population.drift m [| x |] [| beta |] in
+      let from_classes = Model.drift m [| x |] [| beta |] in
       let closed = drift [| x |] [| beta |] in
       Alcotest.(check (float 1e-12))
         (Printf.sprintf "drift at x=%g beta=%g" x beta)
@@ -37,7 +37,7 @@ let test_equilibrium_closed_form () =
 
 let test_equilibrium_matches_ode () =
   let eq_ode =
-    Ode.fixed_point
+    Umf_reference.Ode_ref.fixed_point
       (fun _t x -> drift x [| 3. |])
       Sis.x0
   in
@@ -68,7 +68,7 @@ let test_imprecise_bounds_contain_equilibria () =
     [ 1.; 2.; 3.; 4. ]
 
 let test_ssa_converges_to_equilibrium () =
-  let m = Sis.model p in
+  let m = Sis.make p in
   let avg =
     Ssa.time_average m ~n:2000 ~x0:Sis.x0 ~policy:(Policy.constant [| 2. |])
       ~tmax:50. ~warmup:10.

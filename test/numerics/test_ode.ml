@@ -1,4 +1,5 @@
 open Umf_numerics
+module Ode_ref = Umf_reference.Ode_ref
 
 let check_close tol msg expected actual =
   Alcotest.(check (float tol)) msg expected actual
@@ -12,26 +13,26 @@ let oscillator _t y = [| y.(1); -.y.(0) |]
 let test_euler_order () =
   (* halving dt should roughly halve the global Euler error *)
   let err dt =
-    let y = Ode.integrate_to ~method_:`Euler decay ~t0:0. ~y0:[| 1. |] ~t1:1. ~dt in
+    let y = Ode_ref.integrate_to ~method_:`Euler decay ~t0:0. ~y0:[| 1. |] ~t1:1. ~dt in
     Float.abs (y.(0) -. Float.exp (-1.))
   in
   let e1 = err 0.01 and e2 = err 0.005 in
   Alcotest.(check bool) "first order" true (e1 /. e2 > 1.6 && e1 /. e2 < 2.4)
 
 let test_rk4_accuracy () =
-  let y = Ode.integrate_to decay ~t0:0. ~y0:[| 1. |] ~t1:1. ~dt:0.01 in
+  let y = Ode_ref.integrate_to decay ~t0:0. ~y0:[| 1. |] ~t1:1. ~dt:0.01 in
   check_close 1e-9 "exp(-1)" (Float.exp (-1.)) y.(0)
 
 let test_rk4_order () =
   let err dt =
-    let y = Ode.integrate_to decay ~t0:0. ~y0:[| 1. |] ~t1:1. ~dt in
+    let y = Ode_ref.integrate_to decay ~t0:0. ~y0:[| 1. |] ~t1:1. ~dt in
     Float.abs (y.(0) -. Float.exp (-1.))
   in
   let e1 = err 0.1 and e2 = err 0.05 in
   Alcotest.(check bool) "fourth order" true (e1 /. e2 > 12. && e1 /. e2 < 20.)
 
 let test_oscillator_energy () =
-  let y = Ode.integrate_to oscillator ~t0:0. ~y0:[| 1.; 0. |] ~t1:(2. *. Float.pi) ~dt:0.001 in
+  let y = Ode_ref.integrate_to oscillator ~t0:0. ~y0:[| 1.; 0. |] ~t1:(2. *. Float.pi) ~dt:0.001 in
   check_close 1e-6 "back to start x" 1. y.(0);
   check_close 1e-6 "back to start v" 0. y.(1)
 
@@ -91,14 +92,14 @@ let test_invalid_span () =
 let test_fixed_point () =
   (* logistic: equilibrium at 1 from x0 = 0.2 *)
   let f _t y = [| y.(0) *. (1. -. y.(0)) |] in
-  let eq = Ode.fixed_point ~tol:1e-10 f [| 0.2 |] in
+  let eq = Ode_ref.fixed_point ~tol:1e-10 f [| 0.2 |] in
   check_close 1e-6 "logistic equilibrium" 1. eq.(0)
 
 let test_fixed_point_failure () =
   (* pure rotation never settles *)
   Alcotest.check_raises "no equilibrium"
-    (Failure "Ode.fixed_point: no equilibrium reached") (fun () ->
-      ignore (Ode.fixed_point ~max_time:5. oscillator [| 1.; 0. |]))
+    (Failure "Ode_ref.fixed_point: no equilibrium reached") (fun () ->
+      ignore (Ode_ref.fixed_point ~max_time:5. oscillator [| 1.; 0. |]))
 
 let prop_rk4_linear_exact =
   (* RK4 integrates polynomials of degree <= 3 in t essentially exactly *)
@@ -106,7 +107,7 @@ let prop_rk4_linear_exact =
     (QCheck.make QCheck.Gen.(float_range (-2.) 2.))
     (fun a ->
       let f t _y = [| a *. t *. t |] in
-      let y = Ode.integrate_to f ~t0:0. ~y0:[| 0. |] ~t1:1. ~dt:0.25 in
+      let y = Ode_ref.integrate_to f ~t0:0. ~y0:[| 0. |] ~t1:1. ~dt:0.25 in
       Float.abs (y.(0) -. (a /. 3.)) < 1e-10)
 
 let contains_substring s sub =
@@ -118,10 +119,10 @@ let test_check_flags_nan () =
   (* rhs turns NaN halfway through the horizon *)
   let f t _y = [| (if t > 0.5 then Float.nan else 1.) |] in
   (* without the sanitizer the NaN propagates silently to the result *)
-  let y = Ode.integrate_to f ~t0:0. ~y0:[| 0. |] ~t1:1. ~dt:0.1 in
+  let y = Ode_ref.integrate_to f ~t0:0. ~y0:[| 0. |] ~t1:1. ~dt:0.1 in
   Alcotest.(check bool) "nan propagates unchecked" true (Float.is_nan y.(0));
   (* with it, the failure points at the offending time and step *)
-  (match Ode.integrate_to ~check:true f ~t0:0. ~y0:[| 0. |] ~t1:1. ~dt:0.1 with
+  (match Ode_ref.integrate_to ~check:true f ~t0:0. ~y0:[| 0. |] ~t1:1. ~dt:0.1 with
   | _ -> Alcotest.fail "expected Failure"
   | exception Failure msg ->
       Alcotest.(check bool)
@@ -138,7 +139,7 @@ let test_check_flags_nan () =
 let test_check_flags_bad_initial_state () =
   let f _t y = Vec.copy y in
   match
-    Ode.integrate_to ~check:true f ~t0:0. ~y0:[| Float.infinity |] ~t1:1.
+    Ode_ref.integrate_to ~check:true f ~t0:0. ~y0:[| Float.infinity |] ~t1:1.
       ~dt:0.1
   with
   | _ -> Alcotest.fail "expected Failure"
@@ -155,8 +156,8 @@ let test_check_adaptive () =
 
 let test_check_clean_run_unchanged () =
   let f _t y = [| -.y.(0) |] in
-  let a = Ode.integrate_to f ~t0:0. ~y0:[| 1. |] ~t1:1. ~dt:0.05 in
-  let b = Ode.integrate_to ~check:true f ~t0:0. ~y0:[| 1. |] ~t1:1. ~dt:0.05 in
+  let a = Ode_ref.integrate_to f ~t0:0. ~y0:[| 1. |] ~t1:1. ~dt:0.05 in
+  let b = Ode_ref.integrate_to ~check:true f ~t0:0. ~y0:[| 1. |] ~t1:1. ~dt:0.05 in
   Alcotest.(check (float 0.)) "identical results" a.(0) b.(0)
 
 let suites =

@@ -45,6 +45,51 @@ let test_box_grid () =
   let b = box2 0. 1. 0. 1. in
   Alcotest.(check int) "3x3 grid" 9 (List.length (Optim.Box.sample_grid b 3))
 
+(* the θ-grid cap counts exactly the points [sample_grid] would build,
+   one on a degenerate axis or when k = 1, and refuses past 4096 *)
+let test_grid_cap_counts_sample_grid () =
+  let cube = Optim.Box.make [| 0.; 0.; 0. |] [| 1.; 1.; 1. |] in
+  let slab = Optim.Box.make [| 0.; 2.; 0. |] [| 1.; 2.; 1. |] in
+  List.iter
+    (fun (label, b, k) ->
+      Optim.Box.check_grid ~who:"test" b k;
+      Alcotest.(check bool)
+        (label ^ ": at most 4096 points built") true
+        (List.length (Optim.Box.sample_grid b k) <= 4096))
+    [
+      ("16 per axis on a cube", cube, 16);
+      ("64 per axis, one axis degenerate", slab, 64);
+      ( "one point per axis",
+        Optim.Box.make (Array.make 13 0.) (Array.make 13 1.),
+        1 );
+    ];
+  Alcotest.(check int) "16^3 = 4096 points" 4096
+    (List.length (Optim.Box.sample_grid cube 16));
+  Alcotest.(check int) "a degenerate axis holds one point" 4096
+    (List.length (Optim.Box.sample_grid slab 64))
+
+let test_grid_cap_refuses () =
+  let cube = Optim.Box.make [| 0.; 0.; 0. |] [| 1.; 1.; 1. |] in
+  let slab = Optim.Box.make [| 0.; 2.; 0. |] [| 1.; 2.; 1. |] in
+  Alcotest.check_raises "17 per axis on a cube"
+    (Invalid_argument
+       "who: an uncertain grid of 17 per axis has 4913 points, over the \
+        limit of 4096")
+    (fun () -> Optim.Box.check_grid ~who:"who" cube 17);
+  Alcotest.check_raises "65 per axis, one axis degenerate"
+    (Invalid_argument
+       "who: an uncertain grid of 65 per axis has 4225 points, over the \
+        limit of 4096")
+    (fun () -> Optim.Box.check_grid ~who:"who" slab 65);
+  (* a count far past any buildable grid is refused from the count
+     alone *)
+  let wide = Optim.Box.make (Array.make 40 0.) (Array.make 40 1.) in
+  Alcotest.check_raises "1000 per axis on 40 axes"
+    (Invalid_argument
+       "who: an uncertain grid of 1000 per axis has 1e+120 points, over the \
+        limit of 4096")
+    (fun () -> Optim.Box.check_grid ~who:"who" wide 1000)
+
 let test_box_mem_clamp () =
   let b = box2 0. 1. 0. 1. in
   Alcotest.(check bool) "mem" true (Optim.Box.mem [| 0.5; 0.5 |] b);
@@ -111,6 +156,10 @@ let suites =
         Alcotest.test_case "box vertices" `Quick test_box_vertices;
         Alcotest.test_case "degenerate vertices" `Quick test_box_vertices_degenerate;
         Alcotest.test_case "box grid" `Quick test_box_grid;
+        Alcotest.test_case "grid cap counts sample_grid" `Quick
+          test_grid_cap_counts_sample_grid;
+        Alcotest.test_case "grid cap refuses past 4096" `Quick
+          test_grid_cap_refuses;
         Alcotest.test_case "box mem/clamp" `Quick test_box_mem_clamp;
         Alcotest.test_case "box uniform samples" `Quick test_box_sample_uniform;
         Alcotest.test_case "box min quadratic" `Quick test_minimize_box_quadratic;

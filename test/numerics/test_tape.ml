@@ -142,20 +142,6 @@ let test_constants_preloaded () =
   Alcotest.(check (float 0.)) "value" 5.
     (Tape.Plan.run_alloc (Tape.Plan.make t) ~x:[||] ~th:[||]).(0)
 
-let test_run_scalar () =
-  let e = Expr.((theta 0 *: var 0 *: var 1) +: (const 0.1 *: var 0)) in
-  let p = Tape.Plan.make (Tape.compile [| e |]) in
-  let f = Tape.Plan.run_scalar p in
-  let x = [| 0.7; 0.3 |] and th = [| 5. |] in
-  Alcotest.(check (float 0.)) "scalar = interpreted" (Expr.eval e ~x ~th)
-    (f x th);
-  (* repeated calls reuse the domain-local workspace *)
-  Alcotest.(check (float 0.)) "second call identical" (f x th) (f x th);
-  let two = Tape.Plan.make (Tape.compile [| e; e |]) in
-  Alcotest.check_raises "multi-output rejected"
-    (Invalid_argument "Tape.Plan.run_scalar: tape has more than one output")
-    (fun () -> ignore (Tape.Plan.run_scalar two : Vec.t -> Vec.t -> float))
-
 let test_plan_validation () =
   let t = Tape.compile [| Expr.(var 0 +: theta 0) |] in
   let p = Tape.Plan.make t in
@@ -215,7 +201,6 @@ let suites =
     ( "tape",
       [
         Alcotest.test_case "constants preloaded" `Quick test_constants_preloaded;
-        Alcotest.test_case "run_scalar" `Quick test_run_scalar;
         Alcotest.test_case "plan validation" `Quick test_plan_validation;
         Alcotest.test_case "batch validation" `Quick test_batch_validation;
         Alcotest.test_case "ite selection" `Quick test_ite_selects_like_interpreter;

@@ -31,5 +31,6 @@ let uniformized ?rate g =
 let kolmogorov_ode ?(dt = 1e-3) g ~p0 ~t =
   if t = 0. then Vec.copy p0
   else
-    Ode.integrate_to (fun _t p -> Generator.apply_forward g p) ~t0:0. ~y0:p0
-      ~t1:t ~dt
+    Ode_ref.integrate_to
+      (fun _t p -> Generator.apply_forward g p)
+      ~t0:0. ~y0:p0 ~t1:t ~dt

@@ -78,13 +78,18 @@ let of_imprecise_ctmc ictmc ~dt =
   if dt <= 0. then invalid_arg "Interval_dtmc.of_imprecise_ctmc: dt <= 0";
   let n = Imprecise_ctmc.n_states ictmc in
   let box = Imprecise_ctmc.theta_box ictmc in
-  let vertices = Optim.Box.vertices box in
+  let trs = Imprecise_ctmc.transitions ictmc in
   (* per-vertex generators give entrywise rate ranges *)
   let lo_rate = Array.make_matrix n n Float.infinity in
   let hi_rate = Array.make_matrix n n Float.neg_infinity in
-  List.iter
-    (fun theta ->
-      let g = Imprecise_ctmc.generator_at ictmc theta in
+  List.iteri
+    (fun v _ ->
+      let g =
+        Generator.make ~n
+          (List.map
+             (fun tr -> Imprecise_ctmc.(tr.src, tr.dst, tr.rates.(v)))
+             trs)
+      in
       let dense = Generator.to_dense g in
       for i = 0 to n - 1 do
         for j = 0 to n - 1 do
@@ -93,7 +98,7 @@ let of_imprecise_ctmc ictmc ~dt =
           if q > hi_rate.(i).(j) then hi_rate.(i).(j) <- q
         done
       done)
-    vertices;
+    (Optim.Box.vertices box);
   let rows =
     Array.init n (fun i ->
         Array.init n (fun j ->

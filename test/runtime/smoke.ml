@@ -7,7 +7,7 @@ open Umf
 let () =
   let p = Sir.default_params in
   let di = Sir.di p in
-  let model = Sir.model p in
+  let model = Sir.make p in
   let times = [| 0.5; 1. |] in
   let seq_lo, seq_hi =
     Uncertain.transient_envelope ~dt:0.1 ~grid:3 di ~x0:Sir.x0 ~times

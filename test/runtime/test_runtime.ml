@@ -126,7 +126,7 @@ let p = Sir.default_params
 
 let di = Sir.di p
 
-let model = Sir.model p
+let model = Sir.make p
 
 let sym = Sir.make p
 

@@ -411,7 +411,9 @@ let test_hull_requests () =
 (* golden/cases.tsv names a request per line; golden/NAME.json holds
    the {"result":...,"cert":...} bytes the daemon answers.  They were
    recorded once and are never regenerated, so any change to the
-   arithmetic of a served Pontryagin or Birkhoff solve shows here. *)
+   arithmetic of a served Pontryagin, Birkhoff, uncertain-grid or
+   finite-N (lattice envelope, first passage, transient, simulation)
+   answer shows here. *)
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let payload_bytes line =
